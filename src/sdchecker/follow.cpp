@@ -1,10 +1,13 @@
 #include "sdchecker/follow.hpp"
 
+#include <dirent.h>
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
-#include <fstream>
-#include <set>
+#include <cerrno>
+#include <memory>
 #include <utility>
 
 #include "common/json.hpp"
@@ -38,6 +41,9 @@ struct FollowCounters {
   }
 };
 
+/// Bytes of each segment's head kept for copytruncate detection.
+constexpr std::size_t kHeadBytes = 64;
+
 /// (dev, inode) folded into one map key; collisions would need two
 /// filesystems mounted inside one log directory.
 std::uint64_t inode_key(const struct ::stat& st) {
@@ -59,6 +65,30 @@ FamilyRank family_rank(const std::string& name) {
   return FamilyRank{true, 0};
 }
 
+/// `pread` until `size` bytes or end of file; returns the bytes read.
+std::size_t pread_full(int fd, char* out, std::size_t size,
+                       std::uintmax_t offset) {
+  std::size_t got = 0;
+  while (got < size) {
+    const ::ssize_t n = ::pread(fd, out + got, size - got,
+                                static_cast<::off_t>(offset + got));
+    if (n > 0) {
+      got += static_cast<std::size_t>(n);
+    } else if (n == 0 || errno != EINTR) {
+      break;
+    }
+  }
+  return got;
+}
+
+struct ScopedFd {
+  int fd;
+  ~ScopedFd() { ::close(fd); }
+};
+struct DirCloser {
+  void operator()(DIR* dir) const { ::closedir(dir); }
+};
+
 }  // namespace
 
 FollowService::FollowService(std::filesystem::path dir, FollowOptions options)
@@ -70,11 +100,10 @@ void FollowService::flush_partial(Tail& tail) {
   tail.partial.clear();
 }
 
-bool FollowService::drain_tail(Tail& tail, PollStats& stats) {
-  const std::filesystem::path path = dir_ / tail.physical;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (!std::filesystem::exists(path)) {
+bool FollowService::drain_tail(int dir_fd, Tail& tail, PollStats& stats) {
+  const int fd = ::openat(dir_fd, tail.physical.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    if (errno == ENOENT) {
       // Renamed away between scan and open (mid-rotation race): the
       // inode resurfaces under its rotated name next poll and is read
       // from the same offset there — one handoff, no diagnostic.
@@ -82,34 +111,53 @@ bool FollowService::drain_tail(Tail& tail, PollStats& stats) {
     }
     // Genuinely unreadable.  One diagnostic per stream, worded exactly
     // as the batch reader's LogView::from_file failure, never repeated.
+    tail.opened = true;
     unreadable_.emplace(
         tail.physical,
         Diagnostic{DiagnosticKind::kUnreadableFile, tail.physical, 0, 1,
-                   "LogView: cannot read " + path.string()});
+                   "LogView: cannot read " + (dir_ / tail.physical).string()});
     return true;
   }
-  in.seekg(0, std::ios::end);
-  const auto end = in.tellg();
-  if (end < 0) return true;
-  auto size = static_cast<std::uintmax_t>(end);
-  if (size < tail.offset) {
+  const ScopedFd close_fd{fd};
+  struct ::stat st{};
+  if (::fstat(fd, &st) != 0) return true;
+  // Another file took the name since the scan: same race as above.
+  if (inode_key(st) != tail.key) return false;
+  tail.opened = true;
+  ++stats.files_read;
+  const auto size = static_cast<std::uintmax_t>(st.st_size);
+  bool restart = size < tail.offset;
+  if (!restart && size > tail.offset && !tail.head.empty()) {
+    // The file grew: make sure it is still the segment we were reading.
+    // A copytruncate rewrite that outgrew the old offset between two
+    // polls never shrinks in our sight; its first bytes give it away.
+    // (A rewrite with identical first bytes stays undetectable.)
+    char first[kHeadBytes];
+    const std::size_t got = pread_full(fd, first, tail.head.size(), 0);
+    restart = std::string_view(first, got) != tail.head;
+  }
+  if (restart) {
     // Truncated in place under us (copytruncate-style rotation): the
     // bytes we already fed are gone; restart this segment from zero.
     tail.offset = 0;
     tail.partial.clear();
+    tail.head.clear();
   }
   if (size > tail.offset) {
-    const std::size_t added = static_cast<std::size_t>(size - tail.offset);
-    std::string chunk(added, '\0');
-    in.seekg(static_cast<std::streamoff>(tail.offset));
-    in.read(chunk.data(), static_cast<std::streamsize>(added));
-    const auto got = static_cast<std::size_t>(in.gcount());
-    chunk.resize(got);
+    const std::size_t old = tail.partial.size();
+    tail.partial.resize(old + static_cast<std::size_t>(size - tail.offset));
+    const std::size_t got =
+        pread_full(fd, tail.partial.data() + old, tail.partial.size() - old,
+                   tail.offset);
+    tail.partial.resize(old + got);
+    if (tail.head.size() < kHeadBytes) {
+      tail.head.append(tail.partial, old,
+                       std::min(kHeadBytes - tail.head.size(), got));
+    }
     tail.offset += got;
     stats.bytes_read += got;
 
     // Feed every complete line; the remainder waits for its newline.
-    tail.partial += chunk;
     std::size_t start = 0;
     while (true) {
       const std::size_t nl = tail.partial.find('\n', start);
@@ -131,6 +179,22 @@ bool FollowService::drain_tail(Tail& tail, PollStats& stats) {
   return true;
 }
 
+void FollowService::sort_order() {
+  order_.clear();
+  order_.reserve(tails_.size());
+  for (auto& [key, tail] : tails_) order_.push_back(&tail);
+  // Within a family the older (suffixed) segments drain before the live
+  // base, so a handoff poll feeds the rotated remainder ahead of the
+  // fresh segment's bytes — exactly the batch reassembly order.
+  std::sort(order_.begin(), order_.end(), [](const Tail* a, const Tail* b) {
+    if (a->logical != b->logical) return a->logical < b->logical;
+    const FamilyRank ra = family_rank(a->physical);
+    const FamilyRank rb = family_rank(b->physical);
+    if (ra.is_base != rb.is_base) return rb.is_base;
+    return ra.index > rb.index;
+  });
+}
+
 PollStats FollowService::poll_once() {
   const auto span = obs::Tracer::global().span("follow.poll");
   const FollowCounters& counters = FollowCounters::get();
@@ -138,74 +202,86 @@ PollStats FollowService::poll_once() {
   ++polls_;
   analyzer_.advance_tick();
 
-  // Pass 1: rescan the directory and reconcile names against inodes.
-  std::set<std::uint64_t> seen;
-  std::error_code ec;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(dir_, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    struct ::stat st{};
-    if (::stat(entry.path().c_str(), &st) != 0) continue;  // vanished
-    const std::uint64_t key = inode_key(st);
-    seen.insert(key);
-    const std::string name = entry.path().filename().string();
-    const auto it = tails_.find(key);
-    if (it == tails_.end()) {
-      Tail tail;
-      tail.physical = name;
-      const auto rotation = split_rotation_suffix(name);
-      tail.logical = rotation ? rotation->base : name;
-      tail.is_base = !rotation;
-      tails_.emplace(key, std::move(tail));
-      ++stats.new_streams;
-      ++streams_seen_;
-      continue;
+  // The directory stays open through the drain: every re-check and open
+  // below is relative to it.
+  const std::unique_ptr<DIR, DirCloser> dir(::opendir(dir_.c_str()));
+  const int dir_fd = dir ? ::dirfd(dir.get()) : -1;
+  bool order_changed = false;
+  {
+    const auto scan_span = obs::Tracer::global().span("follow.poll.scan");
+    // Pass 1: list the directory once and reconcile names against
+    // inodes.  `fstatat` follows symlinks, as the batch reader does.
+    while (const ::dirent* entry = dir ? ::readdir(dir.get()) : nullptr) {
+      if (entry->d_type != DT_REG && entry->d_type != DT_LNK &&
+          entry->d_type != DT_UNKNOWN) {
+        continue;
+      }
+      struct ::stat st{};
+      if (::fstatat(dir_fd, entry->d_name, &st, 0) != 0 ||
+          !S_ISREG(st.st_mode)) {
+        continue;  // vanished, or not a regular file
+      }
+      const std::uint64_t key = inode_key(st);
+      const std::string_view name(entry->d_name);
+      auto [it, inserted] = tails_.try_emplace(key);
+      Tail& tail = it->second;
+      tail.seen_poll = polls_;
+      tail.size = static_cast<std::uintmax_t>(st.st_size);
+      if (inserted) {
+        tail.key = key;
+        tail.physical = name;
+        const auto rotation = split_rotation_suffix(name);
+        tail.logical = rotation ? rotation->base : tail.physical;
+        tail.is_base = !rotation;
+        ++stats.new_streams;
+        ++streams_seen_;
+        order_changed = true;
+      } else if (tail.physical != name) {
+        // The inode moved to a new name: rename-based rotation handoff.
+        // The logical stream identity is unchanged; remaining bytes are
+        // read from the rotated name, from the same offset.
+        tail.physical = name;
+        tail.is_base = !split_rotation_suffix(name).has_value();
+        ++stats.rotations;
+        ++rotations_;
+        order_changed = true;
+      }
     }
-    if (it->second.physical != name) {
-      // The inode moved to a new name: rename-based rotation handoff.
-      // The logical stream identity is unchanged; remaining bytes are
-      // read from the rotated name, from the same offset.
-      it->second.physical = name;
-      it->second.is_base = !split_rotation_suffix(name).has_value();
-      ++stats.rotations;
-      ++rotations_;
-    }
-  }
 
-  // Drop tails whose inode left the directory (rotation pruned the
-  // oldest segment).  Every byte it held was already fed.  A tail the
-  // scan missed (renamed mid-iteration) is re-checked by name so a
-  // transient miss does not flush-and-recreate it with a reset offset.
-  for (auto it = tails_.begin(); it != tails_.end();) {
-    if (seen.contains(it->first)) {
-      ++it;
-      continue;
-    }
-    struct ::stat st{};
-    if (::stat((dir_ / it->second.physical).c_str(), &st) != 0 ||
-        inode_key(st) != it->first) {
-      flush_partial(it->second);
+    // Drop tails whose inode left the directory (rotation pruned the
+    // oldest segment).  Every byte it held was already fed.  A tail the
+    // scan missed (renamed mid-iteration) is re-checked by name so a
+    // transient miss does not flush-and-recreate it with a reset offset.
+    for (auto it = tails_.begin(); it != tails_.end();) {
+      Tail& tail = it->second;
+      struct ::stat st{};
+      if (tail.seen_poll == polls_ ||
+          (::fstatat(dir_fd, tail.physical.c_str(), &st, 0) == 0 &&
+           inode_key(st) == tail.key)) {
+        ++it;
+        continue;
+      }
+      flush_partial(tail);
       it = tails_.erase(it);
-    } else {
-      ++it;
+      order_changed = true;
     }
+    if (order_changed) sort_order();
   }
 
-  // Pass 2: drain in rotation order — within a family the older
-  // (suffixed) segments flush before the live base, so a handoff poll
-  // feeds the rotated remainder ahead of the fresh segment's bytes,
-  // exactly the batch reassembly order.
-  std::vector<Tail*> order;
-  order.reserve(tails_.size());
-  for (auto& [key, tail] : tails_) order.push_back(&tail);
-  std::sort(order.begin(), order.end(), [](const Tail* a, const Tail* b) {
-    if (a->logical != b->logical) return a->logical < b->logical;
-    const FamilyRank ra = family_rank(a->physical);
-    const FamilyRank rb = family_rank(b->physical);
-    if (ra.is_base != rb.is_base) return rb.is_base;
-    return ra.index > rb.index;
-  });
-  for (Tail* tail : order) drain_tail(*tail, stats);
+  // Pass 2: drain in rotation order.  A tail whose size has not moved
+  // since its last read costs nothing — unless it was never opened (a
+  // new file: readability is checked once) or it is a frozen segment
+  // still holding a partial line that must be flushed now.
+  {
+    const auto drain_span = obs::Tracer::global().span("follow.poll.drain");
+    for (Tail* tail : order_) {
+      if (tail->opened && tail->size == tail->offset &&
+          (tail->is_base || tail->partial.empty())) {
+        continue;
+      }
+      drain_tail(dir_fd, *tail, stats);
+    }
+  }
 
   if (options_.retire) {
     stats.apps_retired = analyzer_.retire_terminal(options_.retire_quiet_polls);
@@ -225,7 +301,7 @@ PollStats FollowService::poll_once() {
 void FollowService::finish() {
   // The live segments' unterminated last lines: the batch reader counts
   // them as lines (no trailing newline), so the drained stream must too.
-  for (auto& [key, tail] : tails_) flush_partial(tail);
+  for (Tail* tail : order_) flush_partial(*tail);
   finished_ = true;
 }
 
@@ -233,35 +309,32 @@ AnalysisResult FollowService::snapshot() const {
   AnalysisResult result = analyzer_.snapshot(options_.analyze_shards);
 
   // Synthesize the diagnostics the batch directory reader would emit on
-  // the directory as it stands now.  Rotated families reassembled by the
-  // tailer correspond 1:1 to batch `group_rotations` reassemblies.
-  std::map<std::string, std::vector<std::string>> families;
-  std::error_code ec;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(dir_, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    const std::string name = entry.path().filename().string();
-    if (unreadable_.contains(name)) continue;  // excluded from the view
-    const auto rotation = split_rotation_suffix(name);
-    families[rotation ? rotation->base : name].push_back(name);
-  }
-  for (auto& [base, members] : families) {
-    if (members.size() == 1 && members.front() == base) continue;
-    std::sort(members.begin(), members.end(),
-              [&base](const std::string& a, const std::string& b) {
-                const bool a_base = a == base;
-                const bool b_base = b == base;
-                if (a_base != b_base) return b_base;
-                return family_rank(a).index > family_rank(b).index;
-              });
-    std::string segment_list;
-    for (const std::string& member : members) {
-      if (!segment_list.empty()) segment_list += ", ";
-      segment_list += member;
+  // the files the last poll reconciled.  Rotated families reassembled by
+  // the tailer correspond 1:1 to batch `group_rotations` reassemblies.
+  // `order_` groups each family with its suffixed members first, so a
+  // family starts at a suffixed tail and runs while the logical name
+  // holds; a lone base is no family.
+  for (std::size_t i = 0; i < order_.size();) {
+    if (order_[i]->is_base) {
+      ++i;
+      continue;
     }
+    const std::string& base = order_[i]->logical;
+    std::size_t members = 0;
+    bool suffixed = false;
+    std::string segment_list;
+    for (; i < order_.size() && order_[i]->logical == base; ++i) {
+      const std::string& name = order_[i]->physical;
+      if (unreadable_.contains(name)) continue;  // excluded from the view
+      if (!segment_list.empty()) segment_list += ", ";
+      segment_list += name;
+      ++members;
+      suffixed = suffixed || !order_[i]->is_base;
+    }
+    if (!suffixed) continue;
     result.diagnostics.push_back(
-        Diagnostic{DiagnosticKind::kRotationGap, base, 0, members.size(),
-                   "reassembled " + std::to_string(members.size()) +
+        Diagnostic{DiagnosticKind::kRotationGap, base, 0, members,
+                   "reassembled " + std::to_string(members) +
                        " rotated segments: " + segment_list});
   }
   for (const auto& [name, diagnostic] : unreadable_) {

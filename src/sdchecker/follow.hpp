@@ -3,7 +3,8 @@
 // The batch pipeline collects a finished corpus and mines it once; this
 // service watches a directory the cluster is still writing — the
 // `tail -F` analogue of `SdChecker::analyze_directory`.  Each poll it
-// rescans the directory, reads bytes appended since the previous poll,
+// lists the directory once (`readdir` + `fstatat`), opens only the files
+// whose size moved since the previous poll, reads the appended bytes,
 // follows rename-based rotation (`app.log` -> `app.log.1` plus a fresh
 // `app.log`, tracked by inode so no byte is read twice or skipped), and
 // feeds complete lines into an `IncrementalAnalyzer`.  Memory stays
@@ -17,7 +18,9 @@
 // `AnalysisResult` whose `analysis_json` is byte-identical to running
 // the batch `SdChecker::analyze_directory` over the same directory —
 // including the rotation-reassembly and unreadable-file diagnostics the
-// batch reader would emit.
+// batch reader would emit.  `snapshot()` never lists the directory
+// itself: its diagnostics describe the files as the last poll saw them,
+// which at quiescence is the directory as it stands.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +28,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "sdchecker/incremental.hpp"
@@ -57,14 +61,21 @@ struct PollStats {
   std::size_t new_streams = 0;
   std::size_t rotations = 0;
   std::size_t apps_retired = 0;
+  /// Files opened this poll: tails that grew, shrank, are new, or hold a
+  /// partial line on a segment that was just rotated away.
+  std::size_t files_read = 0;
 };
 
 class FollowService {
  public:
   explicit FollowService(std::filesystem::path dir, FollowOptions options = {});
+  /// Not copyable: the drain order points into the tail table.
+  FollowService(const FollowService&) = delete;
+  FollowService& operator=(const FollowService&) = delete;
 
-  /// One ingestion cycle: rescan the directory, read appended bytes,
-  /// feed complete lines, retire quiet terminal applications.
+  /// One ingestion cycle: list the directory, read the bytes appended to
+  /// the files that grew, feed complete lines, retire quiet terminal
+  /// applications.
   PollStats poll_once();
 
   /// True when the previous poll observed no appended bytes, no new
@@ -79,7 +90,9 @@ class FollowService {
   void finish();
 
   /// Full analysis of everything ingested so far (see the parity
-  /// contract above).  O(apps); safe to call between polls.
+  /// contract above).  O(apps) plus O(rotated files); no filesystem
+  /// access, so a rotation after the last poll shows only after the next
+  /// one.  Safe to call between polls.
   [[nodiscard]] AnalysisResult snapshot() const;
 
   /// One newline-free ndjson watch record: poll/quiescence counters, the
@@ -103,27 +116,45 @@ class FollowService {
   /// survives the rotation rename.  `logical` is the rotation base name
   /// — the stream the analyzer sees.
   struct Tail {
+    std::uint64_t key = 0;
     std::string physical;
     std::string logical;
     std::uintmax_t offset = 0;
+    /// `st_size` at the last scan; equal to `offset` means nothing to read.
+    std::uintmax_t size = 0;
+    /// The poll whose scan last listed this file.
+    std::uint64_t seen_poll = 0;
     std::string partial;
+    /// The segment's first bytes as read (at most `kHeadBytes`): a
+    /// copytruncate rewrite that outgrew `offset` before the next poll
+    /// shows up as a mismatch here.
+    std::string head;
     /// False once the file carries a rotation suffix: the segment is
     /// frozen, its final partial line (if any) has been flushed.
     bool is_base = true;
+    /// Set by the first open attempt, so a new file (even an empty one)
+    /// is opened once and an unreadable one is diagnosed.
+    bool opened = false;
   };
 
   /// Reads bytes appended to one tail; feeds complete lines.  Returns
   /// false when the file vanished between scan and read (mid-rotation
   /// race) — the caller re-reads it under its new name next poll.
-  bool drain_tail(Tail& tail, PollStats& stats);
+  bool drain_tail(int dir_fd, Tail& tail, PollStats& stats);
   void flush_partial(Tail& tail);
+  /// Re-sorts `order_` into drain order after the tail set changed.
+  void sort_order();
 
   std::filesystem::path dir_;
   FollowOptions options_;
   IncrementalAnalyzer analyzer_;
   /// (dev << 32 ^ ino) -> tail.  Good enough as a key: collisions would
-  /// need two filesystems in one log directory.
-  std::map<std::uint64_t, Tail> tails_;
+  /// need two filesystems in one log directory.  Node-based, so the
+  /// pointers in `order_` stay valid across inserts.
+  std::unordered_map<std::uint64_t, Tail> tails_;
+  /// Every tail in drain order (logical name, then rotation rank);
+  /// re-sorted only when a stream appears, is renamed or is dropped.
+  std::vector<Tail*> order_;
   /// Unreadable-file diagnostics, deduped per stream: first error text
   /// wins, `count` accumulates repeats.
   std::map<std::string, logging::Diagnostic> unreadable_;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -283,18 +284,28 @@ TEST(Follow, EvictionKeepsMemoryBoundedAndSnapshotExact) {
 
 // --- mid-rotation races ------------------------------------------------
 
+/// One RM line that mines to one event (the application's SUBMITTED).
+const std::string kSubmittedLine =
+    "2017-07-03 16:40:00,123 INFO  org.apache.hadoop.yarn.server."
+    "resourcemanager.rmapp.RMAppImpl: application_1499100000000_0001 "
+    "State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED";
+
+std::size_t rotation_gaps(const AnalysisResult& result) {
+  return static_cast<std::size_t>(std::count_if(
+      result.diagnostics.begin(), result.diagnostics.end(),
+      [](const logging::Diagnostic& diagnostic) {
+        return diagnostic.kind == logging::DiagnosticKind::kRotationGap;
+      }));
+}
+
 TEST(Follow, RenameWithoutSuccessorIsFollowedNotDiagnosed) {
   const fs::path dir = scratch_dir("sdc_follow_rename");
-  const std::string line =
-      "2017-07-03 16:40:00,123 INFO  org.apache.hadoop.yarn.server."
-      "resourcemanager.rmapp.RMAppImpl: application_1499100000000_0001 "
-      "State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED";
   FollowService service(dir, FollowOptions{.retire = false});
-  append_bytes(dir / "rm.log", line + "\n");
+  append_bytes(dir / "rm.log", kSubmittedLine + "\n");
   service.poll_once();
   // Renamed away with no fresh base yet — the inode is simply followed.
   fs::rename(dir / "rm.log", dir / "rm.log.1");
-  append_bytes(dir / "rm.log.1", line + "\n");
+  append_bytes(dir / "rm.log.1", kSubmittedLine + "\n");
   service.poll_once();
   service.finish();
   const AnalysisResult live = service.snapshot();
@@ -305,17 +316,130 @@ TEST(Follow, RenameWithoutSuccessorIsFollowedNotDiagnosed) {
 TEST(Follow, TruncationRestartsSegmentWithoutUnreadableSpam) {
   const fs::path dir = scratch_dir("sdc_follow_trunc");
   FollowService service(dir, FollowOptions{.retire = false});
-  append_bytes(dir / "nm.log", "first generation line one\n");
+  // Generation one of each file is an unterminated line, so the batch
+  // analysis of the final directory — which sees only generation two —
+  // is the exact reference.
+  append_bytes(dir / "rm.log", "junk from generation one");
+  append_bytes(dir / "nm.log", "generation one, also unterminated");
   service.poll_once();
-  // copytruncate-style rotation: same inode, size snaps to zero.
-  { std::ofstream out(dir / "nm.log", std::ios::binary | std::ios::trunc); }
-  append_bytes(dir / "nm.log", "second generation line one\n");
+  // copytruncate-style rotation: same inode, new content.  rm.log's new
+  // content outgrows the old offset before the next poll, so only its
+  // first bytes tell; nm.log is seen empty first (size below offset).
+  for (const char* name : {"rm.log", "nm.log"}) {
+    std::ofstream out(dir / name, std::ios::binary | std::ios::trunc);
+  }
+  append_bytes(dir / "rm.log", kSubmittedLine + "\n");
+  service.poll_once();
+  append_bytes(dir / "nm.log",
+               "2017-07-03 16:40:01,000 INFO  org.apache.hadoop.yarn.server."
+               "nodemanager.NodeStatusUpdaterImpl: Sending out 0 NM container "
+               "statuses\n");
   service.poll_once();
   service.finish();
   const AnalysisResult live = service.snapshot();
-  // Both generations were ingested, once each, with no unreadable noise.
+  // Each generation two was ingested once, from its first byte, with no
+  // unreadable noise.
+  EXPECT_EQ(analysis_json(live), analysis_json(batch_analyze(dir)));
   EXPECT_EQ(live.lines_total, 2u);
+  EXPECT_EQ(live.events_total, 1u);
   EXPECT_EQ(live.diag_counts.of(logging::DiagnosticKind::kUnreadableFile), 0u);
+}
+
+// --- files opened per poll ---------------------------------------------
+
+TEST(Follow, PollOpensOnlyFilesThatChanged) {
+  const fs::path dir = scratch_dir("sdc_follow_opens");
+  constexpr std::size_t kFiles = 12;
+  constexpr std::size_t kGrown = 3;
+  for (std::size_t i = 0; i < kFiles; ++i) {
+    append_bytes(dir / ("nm" + std::to_string(i) + ".log"),
+                 kSubmittedLine + "\n");
+  }
+  FollowService service(dir, FollowOptions{.retire = false});
+  EXPECT_EQ(service.poll_once().files_read, kFiles);  // every file is new
+
+  const PollStats unchanged = service.poll_once();
+  EXPECT_EQ(unchanged.files_read, 0u);
+  EXPECT_TRUE(service.quiescent());
+
+  for (std::size_t i = 0; i < kGrown; ++i) {
+    append_bytes(dir / ("nm" + std::to_string(i * 4) + ".log"),
+                 kSubmittedLine + "\n");
+  }
+  const PollStats grown = service.poll_once();
+  EXPECT_EQ(grown.files_read, kGrown);
+  EXPECT_EQ(grown.lines_fed, kGrown);
+  EXPECT_EQ(service.poll_once().files_read, 0u);
+
+  service.finish();
+  EXPECT_EQ(analysis_json(service.snapshot()),
+            analysis_json(batch_analyze(dir)));
+}
+
+TEST(Follow, NewEmptyFileIsOpenedOnce) {
+  const fs::path dir = scratch_dir("sdc_follow_empty");
+  append_bytes(dir / "idle.log", "");
+  FollowService service(dir, FollowOptions{.retire = false});
+  const PollStats first = service.poll_once();
+  EXPECT_EQ(first.new_streams, 1u);
+  EXPECT_EQ(first.files_read, 1u);
+  EXPECT_EQ(service.poll_once().files_read, 0u);
+  append_bytes(dir / "idle.log", kSubmittedLine + "\n");
+  EXPECT_EQ(service.poll_once().files_read, 1u);
+}
+
+TEST(Follow, RenameWithoutNewBytesFlushesFrozenPartial) {
+  const fs::path dir = scratch_dir("sdc_follow_frozen");
+  FollowService service(dir, FollowOptions{.retire = false});
+  // The second line's newline never arrives: it waits as a partial.
+  append_bytes(dir / "rm.log", kSubmittedLine + "\n" + kSubmittedLine);
+  EXPECT_EQ(service.poll_once().lines_fed, 1u);
+  EXPECT_EQ(service.poll_once().files_read, 0u);  // live base: keep waiting
+
+  // Rotated away without a byte more: the size still equals the offset,
+  // but the frozen segment's partial is a whole line and must be fed now.
+  fs::rename(dir / "rm.log", dir / "rm.log.1");
+  const PollStats rotated = service.poll_once();
+  EXPECT_EQ(rotated.rotations, 1u);
+  EXPECT_EQ(rotated.bytes_read, 0u);
+  EXPECT_EQ(rotated.files_read, 1u);
+  EXPECT_EQ(rotated.lines_fed, 1u);
+  EXPECT_EQ(service.poll_once().files_read, 0u);
+
+  service.finish();
+  const AnalysisResult live = service.snapshot();
+  EXPECT_EQ(live.lines_total, 2u);
+  EXPECT_EQ(analysis_json(live), analysis_json(batch_analyze(dir)));
+}
+
+// --- snapshot sees the directory as of the last poll -------------------
+
+TEST(Follow, SnapshotReportsRotationFamiliesAsOfLastPoll) {
+  const fs::path dir = scratch_dir("sdc_follow_snapshot_families");
+  FollowService service(dir, FollowOptions{.retire = false});
+  append_bytes(dir / "rm.log", kSubmittedLine + "\n");
+  service.poll_once();
+  EXPECT_EQ(rotation_gaps(service.snapshot()), 0u);
+
+  // Rotation after the last poll: the snapshot does not list the
+  // directory, so it still describes what was ingested.
+  fs::rename(dir / "rm.log", dir / "rm.log.1");
+  append_bytes(dir / "rm.log", kSubmittedLine + "\n");
+  EXPECT_EQ(rotation_gaps(service.snapshot()), 0u);
+
+  service.poll_once();
+  const AnalysisResult rotated = service.snapshot();
+  ASSERT_EQ(rotation_gaps(rotated), 1u);
+  for (const auto& diagnostic : rotated.diagnostics) {
+    if (diagnostic.kind != logging::DiagnosticKind::kRotationGap) continue;
+    EXPECT_EQ(diagnostic.stream, "rm.log");
+    EXPECT_EQ(diagnostic.count, 2u);
+    EXPECT_EQ(diagnostic.detail,
+              "reassembled 2 rotated segments: rm.log.1, rm.log");
+  }
+  service.finish();
+  EXPECT_EQ(analysis_json(service.snapshot()),
+            analysis_json(batch_analyze(dir)));
 }
 
 TEST(Follow, UnreadableFileDiagnosedOnceAndMatchesBatch) {

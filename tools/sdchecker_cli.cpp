@@ -606,7 +606,8 @@ int cmd_follow(std::vector<std::string> args) {
   if (publisher) {
     // The server keeps answering until process exit; what it serves from
     // here on is the drained document — byte-identical to a batch
-    // `analyze` of the directory as it stands now.
+    // `analyze` of the directory as the last poll saw it (as it stands
+    // now, once the loop ended on quiescence).
     checker::FollowPublication publication;
     publication.analysis_json = checker::analysis_json(analysis);
     publication.polls = service.polls();
