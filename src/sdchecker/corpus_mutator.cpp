@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cstddef>
 #include <exception>
+#include <map>
 #include <utility>
 
 #include "common/rng.hpp"
 #include "logging/timestamp.hpp"
 #include "sdchecker/export.hpp"
+#include "sdchecker/incremental.hpp"
 
 namespace sdc::checker {
 namespace {
@@ -320,6 +322,74 @@ LogBundle mutate_interleave(const LogBundle& input, Rng& rng) {
   return out;
 }
 
+/// Feeds `corpus` into an IncrementalAnalyzer the way a tail would: each
+/// logical stream (rotated segments oldest first) becomes one byte
+/// stream cut at seeded random offsets, mid-line cuts included, and the
+/// streams' pieces interleave at random.  Each piece's complete lines
+/// are one feed; a cut line waits for the rest of its bytes.
+AnalysisResult stream_corpus(const LogBundle& corpus, Rng& rng,
+                             const AnalyzeOptions& options) {
+  struct Feed {
+    std::string name;
+    std::string bytes;
+    std::size_t fed = 0;  // bytes up to the last complete line fed
+    std::size_t read = 0;
+  };
+  std::map<std::string, std::vector<std::string>> families;
+  for (const std::string& name : corpus.stream_names()) {
+    const auto rotation = split_rotation_suffix(name);
+    families[rotation ? rotation->base : name].push_back(name);
+  }
+  std::vector<Feed> feeds;
+  for (auto& [base, members] : families) {
+    std::sort(members.begin(), members.end(), rotation_order_less);
+    Feed feed{base, {}};
+    for (const std::string& member : members) {
+      for (const std::string& line : corpus.lines(member)) {
+        feed.bytes += line;
+        feed.bytes += '\n';
+      }
+    }
+    feeds.push_back(std::move(feed));
+  }
+
+  IncrementalAnalyzer analyzer(options.miner_options());
+  std::vector<std::string_view> lines;
+  std::vector<Feed*> open;
+  for (Feed& feed : feeds) open.push_back(&feed);
+  while (!open.empty()) {
+    const auto pick = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(open.size()) - 1));
+    Feed& feed = *open[pick];
+    const auto piece = static_cast<std::size_t>(rng.uniform_int(
+        1, std::max<std::int64_t>(
+               1, static_cast<std::int64_t>(feed.bytes.size() / 4))));
+    feed.read = std::min(feed.bytes.size(), feed.read + piece);
+    lines.clear();
+    const std::string_view bytes(feed.bytes);
+    for (std::size_t nl = bytes.find('\n', feed.fed);
+         nl != std::string_view::npos && nl < feed.read;
+         nl = bytes.find('\n', feed.fed)) {
+      lines.push_back(bytes.substr(feed.fed, nl - feed.fed));
+      feed.fed = nl + 1;
+    }
+    if (!lines.empty()) analyzer.feed_all(feed.name, lines);
+    if (feed.read == feed.bytes.size()) open.erase(open.begin() + pick);
+  }
+  return analyzer.snapshot(options.analyze_shards);
+}
+
+/// Batch analysis as a drained follow service reports it: rotation-gap
+/// records come from the tailer's view of the directory, which an
+/// analyzer fed lines never has.
+std::string streaming_view(AnalysisResult analysis) {
+  std::erase_if(analysis.diagnostics, [](const logging::Diagnostic& d) {
+    return d.kind == DiagnosticKind::kRotationGap;
+  });
+  analysis.diag_counts = logging::count_diagnostics(analysis.diagnostics);
+  return analysis_json(analysis);
+}
+
 }  // namespace
 
 std::string_view mutation_class_name(MutationClass cls) {
@@ -455,6 +525,12 @@ std::vector<FuzzCaseResult> fuzz_corpus(const logging::LogBundle& base,
                     events_csv(analysis) == *baseline_events &&
                     delays_csv(analysis) == *baseline_delays;
       }
+      Rng split_rng = Rng(seed).fork(kMutationClassCount + 1 +
+                                     static_cast<std::uint64_t>(cls));
+      result.streaming_parity =
+          analysis_json(stream_corpus(mutated, split_rng, options)) ==
+          streaming_view(analysis);
+      result.ok = result.ok && result.streaming_parity;
     } catch (const std::exception& e) {
       result.crashed = true;
       result.error = e.what();
@@ -484,6 +560,7 @@ std::string render_fuzz_report(const std::vector<FuzzCaseResult>& results) {
       out += " diagnostics=" + std::to_string(result.diag_counts.total());
       out += " events=" + std::to_string(result.events_total);
       out += " anomalies=" + std::to_string(result.anomalies);
+      out += result.streaming_parity ? " streaming=same" : " streaming=DIFF";
     }
     out += '\n';
   }

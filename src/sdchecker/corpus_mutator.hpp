@@ -8,7 +8,9 @@
 // of (input bundle, class, seed), so every failure is replayable.  The
 // self-check (`fuzz_corpus`) asserts the analyzer never throws, that the
 // identity mutation reproduces the baseline analysis event for event,
-// and that each destructive class surfaces its expected diagnostic kind.
+// that each destructive class surfaces its expected diagnostic kind, and
+// that streaming the mutant in random feed splits reproduces the batch
+// analysis.
 #pragma once
 
 #include <cstdint>
@@ -87,8 +89,13 @@ struct FuzzCaseResult {
   std::size_t events_total = 0;
   std::size_t anomalies = 0;
   logging::DiagnosticCounts diag_counts;
-  /// Verdict: no crash, and the class-correct signal is present (for
-  /// kIdentity: the analysis matches the baseline event for event).
+  /// The mutant fed to an IncrementalAnalyzer in seeded random splits
+  /// (mid-line cuts included) snapshots to the batch `analysis_json`,
+  /// rotation-gap records aside (those come from the tailer).
+  bool streaming_parity = false;
+  /// Verdict: no crash, streaming parity, and the class-correct signal
+  /// is present (for kIdentity: the analysis matches the baseline event
+  /// for event).
   bool ok = false;
 };
 

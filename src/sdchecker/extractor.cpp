@@ -402,17 +402,6 @@ StreamKind classify_line(const ParsedLine& line) {
   return entry == nullptr ? StreamKind::kUnknown : entry->kind;
 }
 
-std::optional<SchedEvent> extract_event(const ParsedLine& line,
-                                        std::string_view stream,
-                                        std::size_t line_no) {
-  const ClassDispatch* entry = dispatchable_class(line);
-  if (entry == nullptr) return std::nullopt;
-  const auto hit = match_class_rules(*entry, line.message);
-  if (!hit) return std::nullopt;
-  return make_event(hit->rule->emits, line, stream, line_no, hit->app,
-                    hit->container);
-}
-
 bool extract_event_into(const ParsedLine& line, std::uint32_t stream_id,
                         std::size_t line_no, EventBatch& batch) {
   const ClassDispatch* entry = dispatchable_class(line);

@@ -64,9 +64,9 @@ struct ExtractorRule {
 /// within a class).
 std::span<const ExtractorRule> extractor_rules();
 
-/// Shortest message any rule in the table could match.  `extract_event`
-/// skips the dispatch table entirely for messages below this length;
-/// tests pin it against the rule table.
+/// Shortest message any rule in the table could match.
+/// `extract_event_into` skips the dispatch table entirely for messages
+/// below this length; tests pin it against the rule table.
 std::size_t min_rule_message_len();
 
 /// One diagnostic logger class: the daemon kind its presence implies.
@@ -97,18 +97,11 @@ std::optional<SchedEvent> apply_rule(const ExtractorRule& rule,
                                      std::size_t line_no);
 
 /// Extracts the scheduling event from one parsed line, if it is one of
-/// the identified messages.  `stream` / `line_no` are recorded verbatim.
-/// FIRST_LOG events (messages 9/13) are *not* produced here — they are a
-/// per-stream property synthesized by the miner.
-std::optional<SchedEvent> extract_event(const ParsedLine& line,
-                                        std::string_view stream,
-                                        std::size_t line_no);
-
-/// Columnar variant of `extract_event` for the miner's hot path: appends
-/// the extracted event (if any) straight into `batch` carrying the
-/// interned `stream_id` — no SchedEvent, no string copy.  Returns true
-/// when an event was appended.  Matches `extract_event` decision for
-/// decision.
+/// the identified messages: appends it straight into `batch` carrying the
+/// interned `stream_id` and `line_no` — no SchedEvent, no string copy.
+/// Returns true when an event was appended.  FIRST_LOG events (messages
+/// 9/13) are *not* produced here — they are a per-stream property
+/// synthesized by the miner.
 bool extract_event_into(const ParsedLine& line, std::uint32_t stream_id,
                         std::size_t line_no, EventBatch& batch);
 

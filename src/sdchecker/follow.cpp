@@ -51,20 +51,6 @@ std::uint64_t inode_key(const struct ::stat& st) {
          static_cast<std::uint64_t>(st.st_ino);
 }
 
-/// Rotation-order rank of a physical name within its family: oldest
-/// (highest suffix) first, the unsuffixed base — the live segment —
-/// last.  Mirrors the sort in the batch reader's `group_rotations`.
-struct FamilyRank {
-  bool is_base = true;
-  unsigned long index = 0;
-};
-FamilyRank family_rank(const std::string& name) {
-  if (const auto rotation = split_rotation_suffix(name)) {
-    return FamilyRank{false, rotation->index};
-  }
-  return FamilyRank{true, 0};
-}
-
 /// `pread` until `size` bytes or end of file; returns the bytes read.
 std::size_t pread_full(int fd, char* out, std::size_t size,
                        std::uintmax_t offset) {
@@ -157,16 +143,19 @@ bool FollowService::drain_tail(int dir_fd, Tail& tail, PollStats& stats) {
     tail.offset += got;
     stats.bytes_read += got;
 
-    // Feed every complete line; the remainder waits for its newline.
+    // Feed every complete line as one chunk; the remainder waits for its
+    // newline.
+    lines_.clear();
     std::size_t start = 0;
     while (true) {
       const std::size_t nl = tail.partial.find('\n', start);
       if (nl == std::string::npos) break;
-      analyzer_.feed(tail.logical, std::string_view(tail.partial)
-                                       .substr(start, nl - start));
-      ++stats.lines_fed;
+      lines_.push_back(
+          std::string_view(tail.partial).substr(start, nl - start));
       start = nl + 1;
     }
+    if (!lines_.empty()) analyzer_.feed_all(tail.logical, lines_);
+    stats.lines_fed += lines_.size();
     tail.partial.erase(0, start);
   }
   if (!tail.is_base) {
@@ -188,10 +177,7 @@ void FollowService::sort_order() {
   // fresh segment's bytes — exactly the batch reassembly order.
   std::sort(order_.begin(), order_.end(), [](const Tail* a, const Tail* b) {
     if (a->logical != b->logical) return a->logical < b->logical;
-    const FamilyRank ra = family_rank(a->physical);
-    const FamilyRank rb = family_rank(b->physical);
-    if (ra.is_base != rb.is_base) return rb.is_base;
-    return ra.index > rb.index;
+    return rotation_order_less(a->physical, b->physical);
   });
 }
 

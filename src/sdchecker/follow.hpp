@@ -155,6 +155,8 @@ class FollowService {
   /// Every tail in drain order (logical name, then rotation rank);
   /// re-sorted only when a stream appears, is renamed or is dropped.
   std::vector<Tail*> order_;
+  /// Reused buffer for the complete lines of one drain.
+  std::vector<std::string_view> lines_;
   /// Unreadable-file diagnostics, deduped per stream: first error text
   /// wins, `count` accumulates repeats.
   std::map<std::string, logging::Diagnostic> unreadable_;

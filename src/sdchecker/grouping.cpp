@@ -94,19 +94,19 @@ std::optional<std::int64_t> AppTimeline::max_worker_ts(EventKind kind) const {
   return best;
 }
 
-bool apply_event(std::map<ApplicationId, AppTimeline>& apps,
-                 const SchedEvent& event) {
-  return apply_event_impl(apps, event);
-}
-
-bool apply_event(AppTable& apps, const SchedEvent& event) {
-  return apply_event_impl(apps, event);
+bool apply_event(AppTable& apps, const EventBatch& events, std::size_t row) {
+  if (!events.has_app(row)) return false;
+  apply_event_parts(
+      apps, events.app_at(row),
+      events.has_container(row) ? &events.container_at(row) : nullptr,
+      events.kind_at(row), events.ts_at(row));
+  return true;
 }
 
 GroupResult group_events(const std::vector<SchedEvent>& events) {
   GroupResult result;
   for (const SchedEvent& event : events) {
-    if (!apply_event(result.apps, event)) ++result.unattributed;
+    if (!apply_event_impl(result.apps, event)) ++result.unattributed;
   }
   return result;
 }
@@ -150,7 +150,7 @@ ShardedGroupResult group_events_sharded(const std::vector<SchedEvent>& events,
         continue;
       }
       if (timeline_shard(*event.app, shard_count) != s) continue;
-      apply_event(apps, event);
+      apply_event_impl(apps, event);
     }
   });
   result.unattributed = unattributed;

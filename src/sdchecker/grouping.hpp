@@ -210,12 +210,10 @@ struct GroupResult {
 /// View materialization, no optional construction on the hot loop.
 [[nodiscard]] GroupResult group_events(const EventBatch& events);
 
-/// Applies a single event to the timelines (the incremental counterpart
-/// of group_events).  Returns false when the event carries no application
-/// id and cannot be attributed.
-bool apply_event(std::map<ApplicationId, AppTimeline>& apps,
-                 const SchedEvent& event);
-bool apply_event(AppTable& apps, const SchedEvent& event);
+/// Applies row `row` of `events` to the timelines (the incremental
+/// counterpart of group_events).  Returns false when the row carries no
+/// application id and cannot be attributed.
+bool apply_event(AppTable& apps, const EventBatch& events, std::size_t row);
 
 /// Which analysis shard owns `app` when grouping into `shards` tables.
 /// Container events follow their owning application, so one shard sees

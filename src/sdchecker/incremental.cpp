@@ -2,176 +2,97 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "common/thread_pool.hpp"
 #include "obs/metric_catalog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
-#include "sdchecker/parsed_line.hpp"
 
 namespace sdc::checker {
 
-void IncrementalAnalyzer::feed(const std::string& stream,
-                               std::string_view line) {
+void IncrementalAnalyzer::feed_all(const std::string& stream,
+                                   std::span<const std::string_view> lines) {
   static obs::Counter& lines_counter =
       obs::catalog_counter(obs::metric::kIncrementalLines);
-  lines_counter.add(1);
+  lines_counter.add(lines.size());
   // CRLF parity with the batch path: LogBundle/LogView strip the '\r' of
   // CRLF-terminated logs at read time; a tail delivers the raw line.
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  stripped_.assign(lines.begin(), lines.end());
+  for (std::string_view& line : stripped_) {
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  }
   StreamState& state = streams_[stream];
-  ++state.line_no;
-  ++lines_total_;
+  // The analyzer never reads stream names back from its event batches,
+  // so they carry no name pool.
+  MinedChunk chunk =
+      mine_chunk(0, nullptr, stripped_, state.summary.lines(), options_);
+  lines_total_ += lines.size();
+  lines_unparsed_ += chunk.summary.lines_unparsed();
+  const bool was_bound = state.summary.bound_app().has_value();
+  state.summary.combine(std::move(chunk.summary), options_);
 
-  const auto parsed = parse_line(line);
-  if (!parsed) {
-    ++lines_unparsed_;
-    switch (classify_unparsed_line(line)) {
-      case UnparsedClass::kBinaryGarbage:
-        ++state.garbage_count;
-        if (state.garbage_first_line == 0) {
-          state.garbage_first_line = state.line_no;
-        }
-        break;
-      case UnparsedClass::kTruncated:
-        ++state.truncated_count;
-        if (state.truncated_first_line == 0) {
-          state.truncated_first_line = state.line_no;
-        }
-        break;
-      case UnparsedClass::kPlain:
-        break;
-    }
-    if (state.open_run_len == 0) state.open_run_start = state.line_no;
-    ++state.open_run_len;
-    return;
+  if (!state.first_log_done) {
+    EventBatch first;
+    state.first_log_done = state.summary.push_first_log(first, 0);
+    dispatch(state, first);
   }
-  // A parsed line closes any unparsable run; long runs are bursts.
-  if (state.open_run_len >= options_.unparsable_burst_min) {
-    ++state.burst_count;
-    state.burst_lines += state.open_run_len;
-    if (state.burst_first_line == 0) {
-      state.burst_first_line = state.open_run_start;
-    }
+  dispatch(state, chunk.events);
+  if (!was_bound && state.summary.bound_app() && state.parked) {
+    // The stream just bound: release what it parked.
+    const std::unique_ptr<EventBatch> parked = std::move(state.parked);
+    state.summary.bind(*parked);
+    for (std::size_t i = 0; i < parked->size(); ++i) apply(*parked, i);
   }
-  state.open_run_len = 0;
-  if (state.last_parsed_ts &&
-      *state.last_parsed_ts - parsed->epoch_ms > options_.skew_budget_ms) {
-    ++state.regression_count;
-    if (state.regression_first_line == 0) {
-      state.regression_first_line = state.line_no;
-    }
-    state.regression_max_ms = std::max(
-        state.regression_max_ms, *state.last_parsed_ts - parsed->epoch_ms);
-  }
-  state.last_parsed_ts = parsed->epoch_ms;
-  if (state.kind == StreamKind::kUnknown) {
-    state.kind = classify_line(*parsed);
-    // Instance logs synthesize FIRST_LOG from their first *parsed* line;
-    // the timestamp was captured whenever that line arrived.
-    if ((state.kind == StreamKind::kDriver ||
-         state.kind == StreamKind::kExecutor) &&
-        !state.first_log_done) {
-      state.first_log_pending = true;
-      if (state.first_parsed_ts == 0) state.first_parsed_ts = parsed->epoch_ms;
-    }
-  }
-  if (state.first_parsed_ts == 0) state.first_parsed_ts = parsed->epoch_ms;
-
-  // Binding: the first application/container id seen anywhere binds the
-  // stream and releases any parked events.
-  const bool was_bound = state.bound_app.has_value();
-  if (!state.bound_container) {
-    if (auto container = find_container_id(parsed->message)) {
-      state.bound_container = container;
-      if (!state.bound_app) state.bound_app = container->app;
-    }
-  }
-  if (!state.bound_app) {
-    if (auto app = find_application_id(parsed->message)) {
-      state.bound_app = app;
-    }
-  }
-
-  if (state.first_log_pending &&
-      (state.kind == StreamKind::kDriver ||
-       state.kind == StreamKind::kExecutor)) {
-    state.first_log_pending = false;
-    state.first_log_done = true;
-    SchedEvent first;
-    first.kind = state.kind == StreamKind::kDriver
-                     ? EventKind::kDriverFirstLog
-                     : EventKind::kExecutorFirstLog;
-    first.ts_ms = state.first_parsed_ts;
-    first.stream = stream;
-    first.line_no = 1;
-    dispatch(state, std::move(first));
-  }
-
-  if (auto event = extract_event(*parsed, stream, state.line_no)) {
-    dispatch(state, std::move(*event));
-  }
-  if (!was_bound && state.bound_app) flush_parked(state);
 }
 
 void IncrementalAnalyzer::feed_all(const std::string& stream,
                                    const std::vector<std::string>& lines) {
-  for (const std::string& line : lines) feed(stream, line);
+  const std::vector<std::string_view> views(lines.begin(), lines.end());
+  feed_all(stream, views);
 }
 
-void IncrementalAnalyzer::feed_all(const std::string& stream,
-                                   std::span<const std::string_view> lines) {
-  for (const std::string_view line : lines) feed(stream, line);
+void IncrementalAnalyzer::feed(const std::string& stream,
+                               std::string_view line) {
+  feed_all(stream, std::span<const std::string_view>(&line, 1));
 }
 
-void IncrementalAnalyzer::dispatch(StreamState& state, SchedEvent event) {
+void IncrementalAnalyzer::dispatch(StreamState& state, EventBatch& events) {
   // Counted here — once per extracted event, bound or not — so
   // `events_total` matches the batch miner, which counts every mined
   // event whether or not it ever attributes.
-  ++events_total_;
-  resolve_or_park(state, std::move(event));
+  events_total_ += events.size();
+  state.summary.bind(events);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events.has_app(i)) {
+      apply(events, i);
+    } else if (options_.parked_events_cap > 0 && state.parked &&
+               state.parked->size() >= options_.parked_events_cap) {
+      // A stream that never binds must not grow without bound in a
+      // long-running service; past the cap events are dropped, counted,
+      // and surfaced as one kUnboundStream diagnostic.
+      if (state.parked_dropped++ == 0) {
+        state.parked_dropped_first_line = events.line_at(i);
+      }
+    } else {
+      if (!state.parked) state.parked = std::make_unique<EventBatch>();
+      state.parked->append_row(events, i);
+    }
+  }
 }
 
-void IncrementalAnalyzer::resolve_or_park(StreamState& state,
-                                          SchedEvent event) {
-  if (!event.app) event.app = state.bound_app;
-  if (!event.container && state.kind == StreamKind::kExecutor) {
-    event.container = state.bound_container;
-  }
-  if (!event.app) {
-    // Stream not bound yet: park for later — up to the cap.  A stream
-    // that never binds must not grow without bound in a long-running
-    // service; past the cap events are dropped, counted, and surfaced as
-    // one kUnboundStream diagnostic.
-    if (options_.parked_events_cap > 0 &&
-        state.parked.size() >= options_.parked_events_cap) {
-      ++state.parked_dropped;
-      if (state.parked_dropped_first_line == 0) {
-        state.parked_dropped_first_line = event.line_no;
-      }
-      return;
-    }
-    state.parked.push_back(std::move(event));
-    return;
-  }
-  if (!retired_.empty() && retired_.contains(*event.app)) {
+void IncrementalAnalyzer::apply(const EventBatch& events, std::size_t row) {
+  const ApplicationId& app = events.app_at(row);
+  if (!retired_.empty() && retired_.contains(app)) {
     // The application's timeline is gone; re-materializing a partial one
     // would diverge from the cached decomposition.
     ++events_late_dropped_;
     return;
   }
-  apply_event(timelines_, event);
-  AppActivity& activity = activity_[*event.app];
+  apply_event(timelines_, events, row);
+  AppActivity& activity = activity_[app];
   activity.last_tick = tick_;
-  if (event.kind == EventKind::kAppFinished) activity.terminal = true;
-}
-
-void IncrementalAnalyzer::flush_parked(StreamState& state) {
-  std::vector<SchedEvent> parked = std::move(state.parked);
-  state.parked.clear();
-  for (SchedEvent& event : parked) {
-    resolve_or_park(state, std::move(event));
-  }
+  if (events.kind_at(row) == EventKind::kAppFinished) activity.terminal = true;
 }
 
 std::size_t IncrementalAnalyzer::retire_terminal(std::uint64_t quiet_ticks) {
@@ -261,42 +182,10 @@ std::vector<logging::Diagnostic> IncrementalAnalyzer::diagnostics() const {
   for (const auto* entry : ordered) {
     const std::string& name = entry->first;
     const StreamState& state = entry->second;
-    if (state.garbage_count > 0) {
-      out.push_back(Diagnostic{DiagnosticKind::kBinaryGarbage, name,
-                               state.garbage_first_line, state.garbage_count,
-                               "line(s) contain NUL or mostly non-printable "
-                               "bytes"});
-    }
-    if (state.truncated_count > 0) {
-      out.push_back(Diagnostic{DiagnosticKind::kTruncatedLine, name,
-                               state.truncated_first_line,
-                               state.truncated_count,
-                               "line(s) cut mid-write: timestamp intact, "
-                               "remainder malformed"});
-    }
-    std::size_t burst_count = state.burst_count;
-    std::size_t burst_lines = state.burst_lines;
-    std::size_t burst_first = state.burst_first_line;
-    if (state.open_run_len >= options_.unparsable_burst_min) {
-      ++burst_count;
-      burst_lines += state.open_run_len;
-      if (burst_first == 0) burst_first = state.open_run_start;
-    }
-    if (burst_count > 0) {
-      out.push_back(Diagnostic{DiagnosticKind::kUnparsableBurst, name,
-                               burst_first, burst_lines,
-                               std::to_string(burst_count) +
-                                   " burst(s) of consecutive unparsable "
-                                   "lines"});
-    }
-    if (state.regression_count > 0) {
-      out.push_back(Diagnostic{
-          DiagnosticKind::kTimestampRegression, name,
-          state.regression_first_line, state.regression_count,
-          "timestamp jumped backwards by up to " +
-              std::to_string(state.regression_max_ms) + " ms (budget " +
-              std::to_string(options_.skew_budget_ms) + " ms)"});
-    }
+    std::vector<Diagnostic> found =
+        state.summary.finish(name, options_).diagnostics;
+    out.insert(out.end(), std::make_move_iterator(found.begin()),
+               std::make_move_iterator(found.end()));
     if (state.parked_dropped > 0) {
       out.push_back(Diagnostic{
           DiagnosticKind::kUnboundStream, name,
@@ -309,14 +198,10 @@ std::vector<logging::Diagnostic> IncrementalAnalyzer::diagnostics() const {
   return out;
 }
 
-logging::DiagnosticCounts IncrementalAnalyzer::diag_counts() const {
-  return logging::count_diagnostics(diagnostics());
-}
-
 std::size_t IncrementalAnalyzer::events_pending() const {
   std::size_t n = 0;
   for (const auto& [name, state] : streams_) {
-    n += state.parked.size() + state.parked_dropped;
+    n += (state.parked ? state.parked->size() : 0) + state.parked_dropped;
   }
   return n;
 }

@@ -3,14 +3,20 @@
 // The paper's tool is offline: collect all logs after the runs, then
 // mine.  For a monitoring deployment one wants the same decomposition
 // while the cluster runs — feeding lines as `tail -f` delivers them.
-// The subtlety versus batch mining is ordering: a driver/executor
-// stream's FIRST_LOG event and its milestone events arrive *before* the
-// line that reveals which application/container the stream belongs to,
-// so unbound events are parked per stream and flushed the moment the
-// stream binds to an id.
+// Every per-stream rule (kind, binding, FIRST_LOG, health diagnostics)
+// comes from the batch miner's fold: each fed batch of a stream's lines
+// is one more `mine_chunk`, `combine`d into that stream's
+// `StreamSummary`, so a feed boundary is just a chunk boundary and a
+// snapshot is batch mining applied to the lines fed so far.  What is
+// specific to streaming lives here: a driver/executor stream's FIRST_LOG
+// event and its milestone events arrive *before* the line that reveals
+// which application/container the stream belongs to, so unbound events
+// are parked per stream (up to a cap) and flushed the moment the stream
+// binds; applications retire once quiet (see below).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -18,35 +24,29 @@
 
 #include "common/flat_hash_map.hpp"
 #include "sdchecker/decompose.hpp"
-#include "sdchecker/extractor.hpp"
 #include "sdchecker/grouping.hpp"
+#include "sdchecker/miner.hpp"
 #include "sdchecker/sdchecker.hpp"
 
 namespace sdc::checker {
 
 class IncrementalAnalyzer {
  public:
-  /// Only `skew_budget_ms`, `unparsable_burst_min` and
-  /// `parked_events_cap` of the options are meaningful here (feeding is
+  /// `threads` and `shard_grain` of the options are ignored (feeding is
   /// inherently serial).
   explicit IncrementalAnalyzer(MinerOptions options = {})
       : options_(options) {}
 
-  /// Feeds one raw log line belonging to the named stream (file).  Lines
-  /// of different streams may interleave arbitrarily; lines within one
-  /// stream must arrive in file order (as a tail would deliver them).
-  /// A trailing '\r' (CRLF-terminated logs) is stripped, matching the
-  /// batch read path.
-  void feed(const std::string& stream, std::string_view line);
-
-  /// Feeds a batch of lines for one stream.
-  void feed_all(const std::string& stream,
-                const std::vector<std::string>& lines);
-
-  /// Feeds a batch of zero-copy line views (e.g. an mmap-backed
-  /// `logging::LogView`) for one stream.
+  /// Feeds the next lines of the named stream (file), in file order, as
+  /// one chunk.  Batches of different streams may interleave
+  /// arbitrarily.  A trailing '\r' (CRLF-terminated logs) is stripped,
+  /// matching the batch read path.
   void feed_all(const std::string& stream,
                 std::span<const std::string_view> lines);
+  void feed_all(const std::string& stream,
+                const std::vector<std::string>& lines);
+  /// Feeds one line (a one-line batch).
+  void feed(const std::string& stream, std::string_view line);
 
   /// Live view of the grouped timelines.  Iteration order is the table's
   /// (stable for a given key set but unordered); sort by `first` when
@@ -120,44 +120,23 @@ class IncrementalAnalyzer {
   /// parked buffer overflowed `MinerOptions::parked_events_cap`.
   [[nodiscard]] std::size_t events_pending() const;
 
-  /// Typed corpus-health findings accumulated so far, one summary record
-  /// per (stream, kind) in stream order — the streaming analogue of
-  /// `MineResult::diagnostics`.  A burst still open at call time (the
-  /// stream currently ends in unparsable lines) is included.
+  /// Typed corpus-health findings accumulated so far: each stream's
+  /// `StreamSummary::finish` records plus the parked-cap kUnboundStream
+  /// record, streams in name order — the streaming analogue of
+  /// `MineResult::diagnostics`.
   [[nodiscard]] std::vector<logging::Diagnostic> diagnostics() const;
-  [[nodiscard]] logging::DiagnosticCounts diag_counts() const;
 
  private:
   struct StreamState {
-    StreamKind kind = StreamKind::kUnknown;
-    std::size_t line_no = 0;
-    bool first_log_pending = false;
+    StreamSummary summary;
     bool first_log_done = false;
-    std::int64_t first_parsed_ts = 0;
-    std::optional<ApplicationId> bound_app;
-    std::optional<ContainerId> bound_container;
-    /// Stream-scoped events waiting for the stream to bind, capped at
-    /// `MinerOptions::parked_events_cap`.
-    std::vector<SchedEvent> parked;
+    /// Stream-scoped events waiting for the stream to bind (allocated on
+    /// the first), capped at `MinerOptions::parked_events_cap`.
+    std::unique_ptr<EventBatch> parked;
     /// Events dropped past the cap (reported as one kUnboundStream
     /// diagnostic per stream).
     std::size_t parked_dropped = 0;
     std::size_t parked_dropped_first_line = 0;
-
-    // Diagnostics bookkeeping (line numbers 1-based).
-    std::size_t garbage_count = 0;
-    std::size_t garbage_first_line = 0;
-    std::size_t truncated_count = 0;
-    std::size_t truncated_first_line = 0;
-    std::size_t burst_count = 0;
-    std::size_t burst_lines = 0;
-    std::size_t burst_first_line = 0;
-    std::size_t open_run_start = 0;
-    std::size_t open_run_len = 0;
-    std::optional<std::int64_t> last_parsed_ts;
-    std::size_t regression_count = 0;
-    std::size_t regression_first_line = 0;
-    std::int64_t regression_max_ms = 0;
   };
 
   /// Per-application eviction bookkeeping, erased on retirement.
@@ -166,17 +145,17 @@ class IncrementalAnalyzer {
     bool terminal = false;
   };
 
-  /// Counts one newly extracted event, then resolves or parks it.
-  void dispatch(StreamState& state, SchedEvent event);
-  /// Applies a (new or previously parked) event, or parks/drops it when
-  /// the stream has no application id yet.  Does not touch
-  /// `events_total_` — events are counted exactly once, in `dispatch`.
-  void resolve_or_park(StreamState& state, SchedEvent event);
-  /// Called when a stream just bound; flushes parked events.
-  void flush_parked(StreamState& state);
+  /// Counts newly extracted events, binds them, then applies or parks
+  /// each one.
+  void dispatch(StreamState& state, EventBatch& events);
+  /// Applies one bound event row (dropped and counted when its
+  /// application already retired).
+  void apply(const EventBatch& events, std::size_t row);
 
   MinerOptions options_;
-  /// Hot per-line lookup — flat hash table, name-sorted only when a
+  /// Reused buffer for the CR-stripped lines of one feed.
+  std::vector<std::string_view> stripped_;
+  /// Hot per-feed lookup — flat hash table, name-sorted only when a
   /// diagnostics report is cut.
   FlatHashMap<std::string, StreamState, StringHash> streams_;
   AppTable timelines_;

@@ -40,80 +40,45 @@ std::optional<RotationSuffix> split_rotation_suffix(std::string_view name) {
   return RotationSuffix{std::string(name.substr(0, dot)), index};
 }
 
-namespace {
+bool rotation_order_less(std::string_view a, std::string_view b) {
+  const auto ra = split_rotation_suffix(a);
+  const auto rb = split_rotation_suffix(b);
+  if (ra.has_value() != rb.has_value()) return ra.has_value();
+  return ra && ra->index > rb->index;
+}
 
 using logging::Diagnostic;
 using logging::DiagnosticKind;
 
-/// A maximal run of consecutive unparsable lines (absolute 1-based
-/// `start`).  `first_plain` / `last_plain` record whether the run's
-/// boundary lines were plain failures (not garbage, not timestamp-cut) —
-/// the head/tail-truncation rules only fire on plain boundaries so one
-/// phenomenon is not reported twice.
-struct UnparsedRun {
-  std::size_t start = 0;
-  std::size_t len = 0;
-  bool first_plain = false;
-  bool last_plain = false;
-};
+void StreamSummary::Tally::add(std::size_t line, std::size_t n) {
+  if (count == 0) first_line = line;
+  count += n;
+}
 
-/// What one chunk of a stream learned on its own: its events (sorted),
-/// the *first-seen* candidates the stitch pass resolves stream-wide, and
-/// provisional diagnostic state whose boundary cases (runs and timestamp
-/// jumps spanning a chunk edge) the stitch pass closes.
-struct ChunkOut {
-  EventBatch events;
-  std::size_t lines_unparsed = 0;
-  /// Parsed lines whose message was too short for any extractor rule —
-  /// dispatch skipped entirely (aggregated into mine.scan.prefilter_skipped).
-  std::size_t prefilter_skipped = 0;
-  std::optional<std::int64_t> first_parsed_ts;
-  StreamKind kind = StreamKind::kUnknown;
-  std::optional<ApplicationId> first_app;
-  std::optional<ContainerId> first_container;
+bool StreamSummary::keeps(const Run& run, const MinerOptions& options) const {
+  return run.start == begin_ + 1 || run.start + run.len == end_ + 1 ||
+         run.len >= options.unparsable_burst_min;
+}
 
-  // Diagnostic bookkeeping (all line numbers absolute, 1-based).
-  std::size_t garbage_count = 0;
-  std::size_t garbage_first_line = 0;
-  std::size_t tscut_count = 0;
-  std::size_t tscut_first_line = 0;
-  std::vector<UnparsedRun> unparsed_runs;
-  std::size_t regression_count = 0;
-  std::size_t regression_first_line = 0;
-  std::int64_t regression_max_ms = 0;
-  std::size_t first_parsed_line = 0;
-  std::optional<std::int64_t> last_parsed_ts;
-};
-
-/// Mines lines [base_line, base_line + lines.size()) of one stream.
-/// Line numbers are 1-based, so the produced events carry
-/// `base_line + i + 1`.  Events land in a columnar batch carrying the
-/// interned `stream_id`.
-ChunkOut mine_chunk(std::uint32_t stream_id,
-                    const std::shared_ptr<const StringInterner>& pool,
-                    std::span<const std::string_view> lines,
-                    std::size_t base_line, const MinerOptions& options) {
-  ChunkOut out;
+MinedChunk mine_chunk(std::uint32_t stream_id,
+                      const std::shared_ptr<const StringInterner>& pool,
+                      std::span<const std::string_view> lines,
+                      std::size_t base_line, const MinerOptions& options) {
+  MinedChunk out;
   out.events = EventBatch(pool);
+  StreamSummary& sum = out.summary;
+  sum.begin_ = base_line;
+  sum.end_ = base_line + lines.size();
   const std::size_t shortest_rule_len = min_rule_message_len();
-  UnparsedRun run;  // run.len == 0 <=> no open run
-  const auto close_run = [&out, &run] {
-    if (run.len > 0) out.unparsed_runs.push_back(run);
-    run = UnparsedRun{};
-  };
+  StreamSummary::Run run;  // run.len == 0 <=> no open run
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const std::size_t line_no = base_line + i + 1;
     const auto parsed = parse_line(lines[i]);
     if (!parsed) {
-      ++out.lines_unparsed;
+      ++sum.lines_unparsed_;
       const UnparsedClass fail = classify_unparsed_line(lines[i]);
-      if (fail == UnparsedClass::kBinaryGarbage) {
-        ++out.garbage_count;
-        if (out.garbage_first_line == 0) out.garbage_first_line = line_no;
-      } else if (fail == UnparsedClass::kTruncated) {
-        ++out.tscut_count;
-        if (out.tscut_first_line == 0) out.tscut_first_line = line_no;
-      }
+      if (fail == UnparsedClass::kBinaryGarbage) sum.garbage_.add(line_no);
+      if (fail == UnparsedClass::kTruncated) sum.cut_.add(line_no);
       if (run.len == 0) {
         run.start = line_no;
         run.first_plain = fail == UnparsedClass::kPlain;
@@ -122,198 +87,195 @@ ChunkOut mine_chunk(std::uint32_t stream_id,
       run.last_plain = fail == UnparsedClass::kPlain;
       continue;
     }
-    close_run();
-    if (!out.first_parsed_ts) {
-      out.first_parsed_ts = parsed->epoch_ms;
-      out.first_parsed_line = line_no;
+    if (run.len > 0 && sum.keeps(run, options)) sum.runs_.push_back(run);
+    run = StreamSummary::Run{};
+    if (!sum.first_ts_) {
+      sum.first_ts_ = parsed->epoch_ms;
+      sum.first_parsed_line_ = line_no;
     }
-    if (out.last_parsed_ts &&
-        *out.last_parsed_ts - parsed->epoch_ms > options.skew_budget_ms) {
-      ++out.regression_count;
-      if (out.regression_first_line == 0) out.regression_first_line = line_no;
-      out.regression_max_ms =
-          std::max(out.regression_max_ms, *out.last_parsed_ts - parsed->epoch_ms);
+    if (sum.last_ts_ &&
+        *sum.last_ts_ - parsed->epoch_ms > options.skew_budget_ms) {
+      sum.regressions_.add(line_no);
+      sum.regression_max_ms_ =
+          std::max(sum.regression_max_ms_, *sum.last_ts_ - parsed->epoch_ms);
     }
-    out.last_parsed_ts = parsed->epoch_ms;
-    if (out.kind == StreamKind::kUnknown) {
-      out.kind = classify_line(*parsed);
-    }
-    // Record the first application/container id seen in this chunk; the
-    // stitch pass binds the stream to the first across chunks (driver
-    // and executor logs do not carry ids on every line — Fig. 2).
-    if (!out.first_container) {
+    sum.last_ts_ = parsed->epoch_ms;
+    if (sum.kind_ == StreamKind::kUnknown) sum.kind_ = classify_line(*parsed);
+    // Driver and executor logs do not carry ids on every line (Fig. 2):
+    // the first line that carries one binds the stream.
+    if (!sum.app_) {
       if (auto container = find_container_id(parsed->message)) {
-        out.first_container = container;
-      }
-    }
-    if (!out.first_app) {
-      if (auto app = find_application_id(parsed->message)) {
-        out.first_app = app;
+        sum.app_ = container->app;
+        sum.container_ = container;
+      } else {
+        sum.app_ = find_application_id(parsed->message);
       }
     }
     if (parsed->message.size() < shortest_rule_len) ++out.prefilter_skipped;
     extract_event_into(*parsed, stream_id, line_no, out.events);
   }
-  close_run();
-  // Chunks emit sorted runs; within one stream the order reduces to
-  // (ts, line, kind).  Columnar index sort — the keys are contiguous
-  // arrays.
-  out.events.sort();
+  if (run.len > 0) sum.runs_.push_back(run);
   return out;
 }
 
-/// Derives the stream's diagnostics from the merged per-chunk state, in a
-/// fixed order: (rotation pre-diagnostics,) garbage summary, cut-line
-/// summary, head tear, bursts by position, tail tear, regression summary.
-/// Everything here is computed from chunk-order-merged data, so sharded
-/// and serial mining produce identical records.
-void emit_stream_diagnostics(MinedStream& out,
-                             const std::vector<ChunkOut>& chunks,
-                             const MinerOptions& options) {
-  // Fold per-line summaries and merge boundary state across chunks.
-  std::size_t garbage_count = 0, garbage_first = 0;
-  std::size_t tscut_count = 0, tscut_first = 0;
-  std::size_t reg_count = 0, reg_first = 0;
-  std::int64_t reg_max = 0;
-  std::optional<std::int64_t> prev_last_ts;
-  std::vector<UnparsedRun> runs;
-  for (const ChunkOut& chunk : chunks) {
-    garbage_count += chunk.garbage_count;
-    if (garbage_first == 0) garbage_first = chunk.garbage_first_line;
-    tscut_count += chunk.tscut_count;
-    if (tscut_first == 0) tscut_first = chunk.tscut_first_line;
-    // A jump backwards across the chunk boundary is a regression the
-    // chunks could not see on their own.
-    if (chunk.first_parsed_ts && prev_last_ts &&
-        *prev_last_ts - *chunk.first_parsed_ts > options.skew_budget_ms) {
-      ++reg_count;
-      if (reg_first == 0) reg_first = chunk.first_parsed_line;
-      reg_max = std::max(reg_max, *prev_last_ts - *chunk.first_parsed_ts);
-    }
-    if (chunk.regression_count > 0) {
-      reg_count += chunk.regression_count;
-      if (reg_first == 0) reg_first = chunk.regression_first_line;
-      reg_max = std::max(reg_max, chunk.regression_max_ms);
-    }
-    if (chunk.last_parsed_ts) prev_last_ts = chunk.last_parsed_ts;
-    // Unparsable runs touching the chunk edge continue into the next
-    // chunk's leading run; merge adjacent runs.
-    for (const UnparsedRun& run : chunk.unparsed_runs) {
-      if (!runs.empty() && runs.back().start + runs.back().len == run.start) {
-        runs.back().len += run.len;
-        runs.back().last_plain = run.last_plain;
-      } else {
-        runs.push_back(run);
-      }
+void StreamSummary::combine(StreamSummary next, const MinerOptions& options) {
+  if (next.end_ == next.begin_) return;
+  if (end_ == begin_) {
+    *this = std::move(next);
+    return;
+  }
+  lines_unparsed_ += next.lines_unparsed_;
+  if (kind_ == StreamKind::kUnknown) kind_ = next.kind_;
+  if (!app_) {
+    app_ = next.app_;
+    container_ = next.container_;
+  }
+  garbage_.add(next.garbage_.first_line, next.garbage_.count);
+  cut_.add(next.cut_.first_line, next.cut_.count);
+  // A jump backwards across the seam is a regression neither side could
+  // see on its own; it sits between this range's and next's own.
+  if (last_ts_ && next.first_ts_ &&
+      *last_ts_ - *next.first_ts_ > options.skew_budget_ms) {
+    regressions_.add(next.first_parsed_line_);
+    regression_max_ms_ =
+        std::max(regression_max_ms_, *last_ts_ - *next.first_ts_);
+  }
+  regressions_.add(next.regressions_.first_line, next.regressions_.count);
+  regression_max_ms_ = std::max(regression_max_ms_, next.regression_max_ms_);
+  if (!first_ts_) {
+    first_ts_ = next.first_ts_;
+    first_parsed_line_ = next.first_parsed_line_;
+  }
+  if (next.last_ts_) last_ts_ = next.last_ts_;
+
+  // An open run at this range's tail continues into next's head run.
+  auto from = next.runs_.begin();
+  if (!runs_.empty() && from != next.runs_.end() &&
+      runs_.back().start + runs_.back().len == from->start) {
+    runs_.back().len += from->len;
+    runs_.back().last_plain = from->last_plain;
+    ++from;
+  }
+  end_ = next.end_;
+  if (!runs_.empty() && !keeps(runs_.back(), options)) runs_.pop_back();
+  for (; from != next.runs_.end(); ++from) {
+    if (keeps(*from, options)) runs_.push_back(*from);
+  }
+}
+
+void StreamSummary::bind(EventBatch& events) const {
+  const bool bind_container =
+      container_.has_value() && kind_ == StreamKind::kExecutor;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (app_ && !events.has_app(i)) events.set_app(i, *app_);
+    if (bind_container && !events.has_container(i)) {
+      events.set_container(i, *container_);
     }
   }
+}
 
+bool StreamSummary::push_first_log(EventBatch& out,
+                                   std::uint32_t stream_id) const {
+  if (!first_ts_ ||
+      (kind_ != StreamKind::kDriver && kind_ != StreamKind::kExecutor)) {
+    return false;
+  }
+  out.push(kind_ == StreamKind::kDriver ? EventKind::kDriverFirstLog
+                                        : EventKind::kExecutorFirstLog,
+           *first_ts_, stream_id, 1, std::nullopt, std::nullopt);
+  return true;
+}
+
+MinedStream StreamSummary::finish(const std::string& name,
+                                  const MinerOptions& options) const {
+  MinedStream out;
+  out.name = name;
+  out.kind = kind_;
+  out.lines_total = end_;
+  out.lines_unparsed = lines_unparsed_;
+  out.bound_app = app_;
+  out.bound_container = container_;
   auto& diags = out.diagnostics;
-  if (garbage_count > 0) {
-    diags.push_back(Diagnostic{DiagnosticKind::kBinaryGarbage, out.name,
-                               garbage_first, garbage_count,
+  if (garbage_.count > 0) {
+    diags.push_back(Diagnostic{DiagnosticKind::kBinaryGarbage, name,
+                               garbage_.first_line, garbage_.count,
                                "line(s) contain NUL or mostly non-printable "
                                "bytes"});
   }
-  if (tscut_count > 0) {
-    diags.push_back(Diagnostic{DiagnosticKind::kTruncatedLine, out.name,
-                               tscut_first, tscut_count,
+  if (cut_.count > 0) {
+    diags.push_back(Diagnostic{DiagnosticKind::kTruncatedLine, name,
+                               cut_.first_line, cut_.count,
                                "line(s) cut mid-write: timestamp intact, "
                                "remainder malformed"});
   }
-  for (const UnparsedRun& run : runs) {
-    if (run.start == 1 && run.first_plain) {
-      diags.push_back(Diagnostic{DiagnosticKind::kTruncatedLine, out.name, 1,
-                                 1,
-                                 "stream begins mid-line (head truncation or "
-                                 "rotation tear)"});
-    }
+  const Run* head = !runs_.empty() && runs_.front().start == 1 &&
+                            runs_.front().first_plain
+                        ? &runs_.front()
+                        : nullptr;
+  if (head != nullptr) {
+    diags.push_back(Diagnostic{DiagnosticKind::kTruncatedLine, name, 1, 1,
+                               "stream begins mid-line (head truncation or "
+                               "rotation tear)"});
   }
-  for (const UnparsedRun& run : runs) {
+  for (const Run& run : runs_) {
     if (run.len >= options.unparsable_burst_min) {
-      diags.push_back(Diagnostic{DiagnosticKind::kUnparsableBurst, out.name,
+      diags.push_back(Diagnostic{DiagnosticKind::kUnparsableBurst, name,
                                  run.start, run.len,
                                  std::to_string(run.len) +
                                      " consecutive unparsable lines"});
     }
   }
-  for (const UnparsedRun& run : runs) {
-    const bool is_tail = run.start + run.len - 1 == out.lines_total;
-    const bool head_already = run.start == 1 && run.len == 1 && run.first_plain;
-    if (is_tail && run.last_plain && !head_already) {
-      diags.push_back(Diagnostic{DiagnosticKind::kTruncatedLine, out.name,
-                                 out.lines_total, 1,
+  if (!runs_.empty()) {
+    const Run& tail = runs_.back();
+    const bool head_already = &tail == head && tail.len == 1;
+    if (tail.start + tail.len == end_ + 1 && tail.last_plain &&
+        !head_already) {
+      diags.push_back(Diagnostic{DiagnosticKind::kTruncatedLine, name, end_, 1,
                                  "stream ends mid-line (tail truncation)"});
     }
   }
-  if (reg_count > 0) {
-    diags.push_back(Diagnostic{DiagnosticKind::kTimestampRegression, out.name,
-                               reg_first, reg_count,
+  if (regressions_.count > 0) {
+    diags.push_back(Diagnostic{DiagnosticKind::kTimestampRegression, name,
+                               regressions_.first_line, regressions_.count,
                                "timestamp jumped backwards by up to " +
-                                   std::to_string(reg_max) +
+                                   std::to_string(regression_max_ms_) +
                                    " ms (budget " +
                                    std::to_string(options.skew_budget_ms) +
                                    " ms)"});
   }
-  out.diag_counts = logging::count_diagnostics(diags);
+  return out;
 }
 
-/// Resolves the stream-wide values from per-chunk candidates (in chunk
-/// order, i.e. file order), synthesizes FIRST_LOG, merges the chunk
-/// runs, binds stream-scoped events, and derives the stream's
-/// diagnostics — semantically identical to a serial pass over the whole
-/// stream.
+namespace {
+
+/// Combines a stream's chunks in order, synthesizes FIRST_LOG, merges
+/// the chunk runs (each already sorted) and binds stream-scoped events —
+/// semantically identical to one chunk over the whole stream.
 MinedStream stitch_stream(const std::string& name, std::uint32_t stream_id,
                           const std::shared_ptr<const StringInterner>& pool,
-                          std::size_t lines_total, std::vector<ChunkOut> chunks,
+                          std::span<MinedChunk> chunks,
                           const MinerOptions& options,
                           std::vector<Diagnostic> pre_diagnostics = {}) {
-  MinedStream out;
-  out.name = name;
-  out.lines_total = lines_total;
-  out.diagnostics = std::move(pre_diagnostics);
-  std::optional<std::int64_t> first_parsed_ts;
-  for (const ChunkOut& chunk : chunks) {
-    out.lines_unparsed += chunk.lines_unparsed;
-    if (!first_parsed_ts) first_parsed_ts = chunk.first_parsed_ts;
-    if (out.kind == StreamKind::kUnknown) out.kind = chunk.kind;
-    if (!out.bound_container) out.bound_container = chunk.first_container;
-    if (!out.bound_app) out.bound_app = chunk.first_app;
-  }
-  if (!out.bound_app && out.bound_container) {
-    out.bound_app = out.bound_container->app;
-  }
-  emit_stream_diagnostics(out, chunks, options);
-
+  StreamSummary summary;
   std::vector<EventBatch> runs;
   runs.reserve(chunks.size() + 1);
-  for (ChunkOut& chunk : chunks) runs.push_back(std::move(chunk.events));
-  // Synthesize FIRST_LOG (messages 9/13) from the first parseable line
-  // of instance logs — appended as its own single-event run and placed
-  // by the merge (it sorts ahead of any same-line real event via the
-  // kind tiebreak), not front-inserted.
-  if (first_parsed_ts &&
-      (out.kind == StreamKind::kDriver || out.kind == StreamKind::kExecutor)) {
-    EventBatch first_run(pool);
-    first_run.push(out.kind == StreamKind::kDriver
-                       ? EventKind::kDriverFirstLog
-                       : EventKind::kExecutorFirstLog,
-                   *first_parsed_ts, stream_id, 1, std::nullopt, std::nullopt);
+  for (MinedChunk& chunk : chunks) {
+    summary.combine(std::move(chunk.summary), options);
+    runs.push_back(std::move(chunk.events));
+  }
+  MinedStream out = summary.finish(name, options);
+  out.diagnostics.insert(out.diagnostics.begin(),
+                         std::make_move_iterator(pre_diagnostics.begin()),
+                         std::make_move_iterator(pre_diagnostics.end()));
+  out.diag_counts = logging::count_diagnostics(out.diagnostics);
+  // FIRST_LOG is its own single-event run, placed by the merge (it sorts
+  // ahead of any same-line real event via the kind tiebreak).
+  EventBatch first_run(pool);
+  if (summary.push_first_log(first_run, stream_id)) {
     runs.push_back(std::move(first_run));
   }
   out.events = merge_event_batches(std::move(runs));
-
-  // Resolve stream-scoped events against the bound ids.
-  const bool bind_container =
-      out.bound_container && out.kind == StreamKind::kExecutor;
-  for (std::size_t i = 0; i < out.events.size(); ++i) {
-    if (out.bound_app && !out.events.has_app(i)) {
-      out.events.set_app(i, *out.bound_app);
-    }
-    if (bind_container && !out.events.has_container(i)) {
-      out.events.set_container(i, *out.bound_container);
-    }
-  }
+  summary.bind(out.events);
   return out;
 }
 
@@ -331,50 +293,32 @@ struct LogicalStream {
 /// families (`base`, `base.1`, `base.2`, ... — higher suffix = older,
 /// logrotate order: oldest first, base last).
 std::vector<LogicalStream> group_rotations(const logging::BundleView& view) {
-  struct Member {
-    // Sort key: base members (no suffix) carry index 0 and rank 1 (they
-    // are the newest); suffixed members rank 0 ordered by descending
-    // index.
-    unsigned long index;
-    std::string name;
-  };
-  std::map<std::string, std::vector<Member>> families;
+  std::map<std::string, std::vector<std::string>> families;
   for (const std::string& name : view.stream_names()) {
-    if (const auto rotation = split_rotation_suffix(name)) {
-      families[rotation->base].push_back(Member{rotation->index, name});
-    } else {
-      families[name].push_back(Member{0, name});
-    }
+    const auto rotation = split_rotation_suffix(name);
+    families[rotation ? rotation->base : name].push_back(name);
   }
   std::vector<LogicalStream> out;
   out.reserve(families.size());
   for (auto& [base, members] : families) {
     LogicalStream logical;
     logical.name = base;
-    if (members.size() == 1 && members.front().name == base) {
+    if (members.size() == 1 && members.front() == base) {
       logical.lines = view.stream(base).lines();
       out.push_back(std::move(logical));
       continue;
     }
-    // Oldest (highest suffix) first; the unsuffixed base — the live,
-    // newest segment — last.
-    std::sort(members.begin(), members.end(),
-              [&base](const Member& a, const Member& b) {
-                const bool a_base = a.name == base;
-                const bool b_base = b.name == base;
-                if (a_base != b_base) return b_base;
-                return a.index > b.index;
-              });
+    std::sort(members.begin(), members.end(), rotation_order_less);
     std::size_t total = 0;
     std::string segment_list;
-    for (const Member& member : members) {
-      total += view.stream(member.name).line_count();
+    for (const std::string& member : members) {
+      total += view.stream(member).line_count();
       if (!segment_list.empty()) segment_list += ", ";
-      segment_list += member.name;
+      segment_list += member;
     }
     logical.owned.reserve(total);
-    for (const Member& member : members) {
-      const auto& lines = view.stream(member.name).lines();
+    for (const std::string& member : members) {
+      const auto& lines = view.stream(member).lines();
       logical.owned.insert(logical.owned.end(), lines.begin(), lines.end());
     }
     logical.lines = logical.owned;
@@ -421,7 +365,7 @@ struct MinePlan::Impl {
   std::vector<ChunkRef> refs;
   /// refs index range of stream s: [first_chunk[s], first_chunk[s+1]).
   std::vector<std::size_t> first_chunk;
-  std::vector<ChunkOut> outs;
+  std::vector<MinedChunk> outs;
   obs::Counter& lines_counter;
   obs::Counter& prefilter_counter;
 
@@ -524,26 +468,24 @@ void MinePlan::run_chunk(std::size_t chunk) {
   const auto chunk_span = obs::Tracer::global().span("mine.chunk");
   const Impl::ChunkRef& ref = impl_->refs[chunk];
   const LogicalStream& logical = impl_->logicals[ref.stream];
-  impl_->outs[chunk] = mine_chunk(
-      impl_->pool->find(logical.name), impl_->pool,
-      logical.lines.subspan(ref.begin, ref.end - ref.begin), ref.begin,
-      impl_->options);
+  MinedChunk& out = impl_->outs[chunk];
+  out = mine_chunk(impl_->pool->find(logical.name), impl_->pool,
+                   logical.lines.subspan(ref.begin, ref.end - ref.begin),
+                   ref.begin, impl_->options);
+  // Chunks emit sorted runs; within one stream the order reduces to
+  // (ts, line, kind).
+  out.events.sort();
   impl_->lines_counter.add(ref.end - ref.begin);
-  impl_->prefilter_counter.add(impl_->outs[chunk].prefilter_skipped);
+  impl_->prefilter_counter.add(out.prefilter_skipped);
 }
 
 MinedStream MinePlan::stitch(std::size_t stream) {
   LogicalStream& logical = impl_->logicals[stream];
-  std::vector<ChunkOut> chunks(
-      std::make_move_iterator(impl_->outs.begin() +
-                              static_cast<std::ptrdiff_t>(
-                                  impl_->first_chunk[stream])),
-      std::make_move_iterator(impl_->outs.begin() +
-                              static_cast<std::ptrdiff_t>(
-                                  impl_->first_chunk[stream + 1])));
+  const std::span<MinedChunk> chunks(
+      impl_->outs.data() + impl_->first_chunk[stream], chunks_of(stream));
   return stitch_stream(logical.name, impl_->pool->find(logical.name),
-                       impl_->pool, logical.lines.size(), std::move(chunks),
-                       impl_->options, std::move(logical.pre_diagnostics));
+                       impl_->pool, chunks, impl_->options,
+                       std::move(logical.pre_diagnostics));
 }
 
 MinedStream LogMiner::mine_stream(
@@ -551,10 +493,9 @@ MinedStream LogMiner::mine_stream(
   auto pool = std::make_shared<StringInterner>();
   const std::uint32_t stream_id = pool->intern(name);
   const std::shared_ptr<const StringInterner> frozen = std::move(pool);
-  std::vector<ChunkOut> chunks;
-  chunks.push_back(mine_chunk(stream_id, frozen, lines, 0, options_));
-  return stitch_stream(name, stream_id, frozen, lines.size(),
-                       std::move(chunks), options_);
+  MinedChunk chunk = mine_chunk(stream_id, frozen, lines, 0, options_);
+  chunk.events.sort();
+  return stitch_stream(name, stream_id, frozen, {&chunk, 1}, options_);
 }
 
 MinedStream LogMiner::mine_stream(const std::string& name,

@@ -5,7 +5,7 @@
 // FIRST_LOG event for driver/executor streams (Table I messages 9/13 —
 // "we use the first log message to mark the successful launching",
 // §III-B), and bind stream-scoped events to the application/container id
-// discovered anywhere in the stream.
+// of the stream's first id-carrying line.
 //
 // Robustness: the miner never throws on damaged input.  Rotated segments
 // (`rm.log.1`, `rm.log.2`, ...) are reassembled into one logical stream
@@ -15,15 +15,18 @@
 // records per stream instead of being silently folded into one
 // "unparsed" number.
 //
-// Parallelism is two-level: streams are mined concurrently, and each
-// stream is itself split into chunks at line boundaries so one dominant
-// stream (the RM log — every application's state machine logs there)
-// cannot serialize the run.  Chunks record their first-seen candidates
-// (timestamp, kind, ids) and provisional boundary state (open unparsable
-// runs, last parsed timestamp); a stitch pass resolves the stream-wide
-// values in chunk order, which makes the sharded result — events *and*
-// diagnostics — identical to a serial pass.  Each chunk emits a sorted
-// event run; runs are combined by k-way merge instead of a global sort.
+// Every per-stream rule lives in one fold, `StreamSummary`: `mine_chunk`
+// summarizes a contiguous range of a stream's lines, `combine` appends
+// the next range (closing the unparsable runs and timestamp jumps that
+// span the seam) and `finish` derives the stream's kind, bound ids and
+// diagnostics.  Batch mining splits each stream into chunks at line
+// boundaries so one dominant stream (the RM log — every application's
+// state machine logs there) cannot serialize the run, and combines the
+// chunk summaries in order at stitch; follow mode (incremental.hpp)
+// folds each poll's lines through the same `mine_chunk`/`combine`.
+// Where the cuts fall never changes the result.  Each chunk emits a
+// sorted event run; runs are combined by k-way merge instead of a
+// global sort.
 #pragma once
 
 #include <cstddef>
@@ -88,6 +91,122 @@ struct MinedStream {
   std::vector<logging::Diagnostic> diagnostics;
   /// Per-kind totals over `diagnostics`.
   logging::DiagnosticCounts diag_counts;
+};
+
+struct MinedChunk;
+
+/// Mines lines [base_line, base_line + lines.size()) of one stream.
+/// Line numbers are 1-based, so the produced events carry
+/// `base_line + i + 1`.  Events land in a columnar batch carrying the
+/// interned `stream_id`.
+[[nodiscard]] MinedChunk mine_chunk(
+    std::uint32_t stream_id, const std::shared_ptr<const StringInterner>& pool,
+    std::span<const std::string_view> lines, std::size_t base_line,
+    const MinerOptions& options);
+
+/// The per-stream rules folded over a contiguous range of one stream's
+/// lines.  Default construction is the identity (covers no lines).
+///
+/// Binding: a stream binds at its first line carrying any id.  A
+/// container id on that line decides the application (container ids
+/// encode it) and, on executor streams, the container of every
+/// stream-scoped event; otherwise the line's application id decides.
+/// The rule is causal, so a live tail can apply it line by line.
+///
+/// State stays bounded however many lines are folded: counters, first
+/// and last timestamps, and only those unparsable runs a diagnostic can
+/// still come from — the run at the range's head, the open run at its
+/// tail, and runs of at least `unparsable_burst_min` lines (each one is
+/// a diagnostic record anyway).
+class StreamSummary {
+ public:
+  StreamSummary() = default;
+
+  /// Appends `next`, the summary of the lines directly following this
+  /// range (`mine_chunk` with `base_line == lines()`).  Associative, so
+  /// the chunking of a stream never shows in `finish`.
+  void combine(StreamSummary next, const MinerOptions& options);
+
+  /// The last covered line number (the stream's line count when the
+  /// range starts at the stream's head).
+  [[nodiscard]] std::size_t lines() const noexcept { return end_; }
+  [[nodiscard]] std::size_t lines_unparsed() const noexcept {
+    return lines_unparsed_;
+  }
+  [[nodiscard]] const std::optional<ApplicationId>& bound_app() const noexcept {
+    return app_;
+  }
+
+  /// Sets the bound ids on the rows of `events` that lack them (the
+  /// container only on executor streams).
+  void bind(EventBatch& events) const;
+
+  /// Appends the synthesized FIRST_LOG event (line 1, stamped with the
+  /// first parsed line's time) when this is a driver or executor stream;
+  /// returns whether it did.
+  bool push_first_log(EventBatch& out, std::uint32_t stream_id) const;
+
+  /// The stream's outcome for a range starting at its head: kind, line
+  /// counts, bound ids and health diagnostics in a fixed order (garbage
+  /// summary, cut-line summary, head tear, bursts by position, tail
+  /// tear, regression summary).  `events` and `diag_counts` are left
+  /// empty.
+  [[nodiscard]] MinedStream finish(const std::string& name,
+                                   const MinerOptions& options) const;
+
+ private:
+  friend MinedChunk mine_chunk(std::uint32_t,
+                               const std::shared_ptr<const StringInterner>&,
+                               std::span<const std::string_view>, std::size_t,
+                               const MinerOptions&);
+
+  /// A maximal run of consecutive unparsable lines (`start` 1-based).
+  /// `first_plain` / `last_plain` record whether its boundary lines were
+  /// plain failures (not garbage, not timestamp-cut) — the head/tail
+  /// tear rules only fire on plain boundaries so one phenomenon is not
+  /// reported twice.
+  struct Run {
+    std::size_t start = 0;
+    std::size_t len = 0;
+    bool first_plain = false;
+    bool last_plain = false;
+  };
+  /// A line-numbered finding counted once per occurrence.
+  struct Tally {
+    std::size_t count = 0;
+    std::size_t first_line = 0;
+    void add(std::size_t line, std::size_t n = 1);
+  };
+
+  /// Keeps a closed or merged run only while a diagnostic can still
+  /// come from it.
+  [[nodiscard]] bool keeps(const Run& run, const MinerOptions& options) const;
+
+  /// Covered lines are (begin_, end_], 1-based.
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+  std::size_t lines_unparsed_ = 0;
+  StreamKind kind_ = StreamKind::kUnknown;
+  std::optional<ApplicationId> app_;
+  std::optional<ContainerId> container_;
+  std::optional<std::int64_t> first_ts_;
+  std::size_t first_parsed_line_ = 0;
+  std::optional<std::int64_t> last_ts_;
+  Tally garbage_;
+  Tally cut_;
+  Tally regressions_;
+  std::int64_t regression_max_ms_ = 0;
+  std::vector<Run> runs_;
+};
+
+/// One mined chunk: its events in line order (unsorted, ids as extracted)
+/// and the chunk's summary.
+struct MinedChunk {
+  EventBatch events;
+  StreamSummary summary;
+  /// Parsed lines whose message was too short for any extractor rule —
+  /// dispatch skipped entirely (aggregated into mine.scan.prefilter_skipped).
+  std::size_t prefilter_skipped = 0;
 };
 
 struct MineResult {
@@ -186,5 +305,9 @@ struct RotationSuffix {
 };
 [[nodiscard]] std::optional<RotationSuffix> split_rotation_suffix(
     std::string_view name);
+/// Order of the members of one rotated family, logrotate style: older
+/// (higher suffix) segments first, the unsuffixed base — the live,
+/// newest segment — last.
+[[nodiscard]] bool rotation_order_less(std::string_view a, std::string_view b);
 
 }  // namespace sdc::checker

@@ -1,7 +1,8 @@
 // Tests for the seeded corpus mutator and its self-check harness: the
 // analyzer never crashes on any mutant, the identity mutation is
-// event-for-event identical to the baseline, and every destructive
-// class surfaces a nonzero count of its expected diagnostic kind.
+// event-for-event identical to the baseline, every destructive class
+// surfaces a nonzero count of its expected diagnostic kind, and every
+// mutant streams to the batch analysis.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -76,6 +77,25 @@ TEST(CorpusMutator, NeverCrashesAcrossSeedsAndClasses) {
       EXPECT_FALSE(result.crashed)
           << mutation_class_name(result.cls) << " seed " << seed << ": "
           << result.error;
+    }
+  }
+}
+
+TEST(CorpusMutator, StreamingMatchesBatchAcrossSeeds) {
+  // Follow-mode parity over every damage class: each mutant, fed to the
+  // streaming analyzer in seeded random splits (mid-line cuts included),
+  // snapshots to the batch analysis.  Sharded finalize too.
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 5ull, 8ull, 42ull}) {
+    for (const std::size_t shards : {1u, 3u}) {
+      AnalyzeOptions options;
+      options.analyze_shards = shards;
+      for (const FuzzCaseResult& result :
+           fuzz_corpus(golden(), seed, all_mutation_classes(), options)) {
+        EXPECT_TRUE(result.streaming_parity)
+            << mutation_class_name(result.cls) << " seed " << seed
+            << " shards " << shards;
+        EXPECT_TRUE(result.ok) << mutation_class_name(result.cls);
+      }
     }
   }
 }

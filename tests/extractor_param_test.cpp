@@ -34,8 +34,10 @@ TEST_P(Table1Messages, ExtractsKindAndIds) {
   const MessageCase& message_case = GetParam();
   const auto parsed = parse_line(message_case.line);
   ASSERT_TRUE(parsed.has_value());
-  const auto event = extract_event(*parsed, "stream.log", 7);
-  ASSERT_TRUE(event.has_value());
+  EventBatch batch(std::make_shared<StringInterner>());
+  ASSERT_TRUE(extract_event_into(*parsed, 0, 7, batch));
+  ASSERT_EQ(batch.size(), 1u);
+  const std::optional<EventBatch::View> event = batch[0];
   EXPECT_EQ(event->kind, message_case.kind);
   EXPECT_EQ(event->ts_ms, 1'499'100'000'123);
   EXPECT_EQ(event->line_no, 7u);

@@ -4,10 +4,12 @@
 // follow snapshot's analysis_json is byte-identical to batch analysis
 // of the same directory.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -80,13 +82,17 @@ AnalysisResult batch_analyze(const fs::path& dir) {
 
 // --- live append + late stream + quiescence parity ---------------------
 
-TEST(Follow, LiveAppendsMatchBatchByteIdentically) {
-  const auto run = small_run();
-  const fs::path dir = scratch_dir("sdc_follow_live");
-  const auto names = run.logs.stream_names();
+/// Writes `logs` into a fresh directory while a follow service polls it
+/// — every stream's bytes in 6 slices cut mid-line, the first stream
+/// appearing only from round 3 — then requires the drained snapshot to
+/// match batch analysis of the directory byte for byte.
+void expect_live_appends_match_batch(const logging::LogBundle& logs,
+                                     const std::string& dir_name) {
+  const fs::path dir = scratch_dir(dir_name);
+  const auto names = logs.stream_names();
   ASSERT_GE(names.size(), 2u);
   std::vector<std::string> texts;
-  for (const auto& name : names) texts.push_back(join_lines(run.logs.lines(name)));
+  for (const auto& name : names) texts.push_back(join_lines(logs.lines(name)));
 
   FollowOptions options;
   options.retire = false;  // parity under eviction is its own test
@@ -94,8 +100,6 @@ TEST(Follow, LiveAppendsMatchBatchByteIdentically) {
   EXPECT_EQ(service.poll_once().bytes_read, 0u);  // empty directory
   EXPECT_TRUE(service.quiescent());
 
-  // Stream 0 appears only from round 3 — a new file mid-flight; every
-  // stream's bytes arrive in 6 slices cut mid-line.
   constexpr std::size_t kRounds = 6;
   for (std::size_t r = 0; r < kRounds; ++r) {
     for (std::size_t i = 0; i < names.size(); ++i) {
@@ -123,6 +127,102 @@ TEST(Follow, LiveAppendsMatchBatchByteIdentically) {
   EXPECT_EQ(service.streams_seen(), names.size());
   EXPECT_EQ(service.analyzer().events_late_dropped(), 0u);
 }
+
+TEST(Follow, LiveAppendsMatchBatchByteIdentically) {
+  expect_live_appends_match_batch(small_run().logs, "sdc_follow_live");
+}
+
+// The same parity check on hand-made streams, one per-stream rule each:
+// separate bursts, binding, head and tail tears.
+std::string log4j_line(std::int64_t offset_ms, std::string_view cls,
+                       std::string_view message) {
+  return logging::format_epoch_ms(1'499'100'000'000 + offset_ms) + " INFO  " +
+         std::string(cls) + ": " + std::string(message);
+}
+
+constexpr std::string_view kRmApp =
+    "org.apache.hadoop.yarn.server.resourcemanager.rmapp.RMAppImpl";
+constexpr std::string_view kNmContainer =
+    "org.apache.hadoop.yarn.server.nodemanager.containermanager.container."
+    "ContainerImpl";
+constexpr std::string_view kBackend =
+    "org.apache.spark.executor.CoarseGrainedExecutorBackend";
+
+std::string nm_transition(std::int64_t offset_ms, std::string_view to) {
+  return log4j_line(offset_ms, kNmContainer,
+                    "Container container_1499100000000_0001_01_000001 "
+                    "transitioned from NEW to " +
+                        std::string(to));
+}
+
+struct DamagedStreamCase {
+  const char* name;
+  /// The damaged stream, written next to an rm.log submitting apps 1 and 2.
+  std::vector<std::string> (*lines)();
+};
+
+const DamagedStreamCase kDamagedStreamCases[] = {
+    {"TwoTwelveLineBursts",
+     [] {
+       // Two separate unparsable runs: one burst record each.
+       std::vector<std::string> lines{nm_transition(100, "LOCALIZING")};
+       for (int i = 0; i < 12; ++i) lines.push_back("\tat a.B.c(B.java:1)");
+       lines.push_back(nm_transition(200, "SCHEDULED"));
+       for (int i = 0; i < 12; ++i) lines.push_back("\tat a.B.d(B.java:2)");
+       lines.push_back(nm_transition(300, "RUNNING"));
+       return lines;
+     }},
+    {"ContainerIdBeforeForeignAppId",
+     [] {
+       // The first id-carrying line names a container of app 1, a later
+       // one app 2: the container's own app wins.
+       return std::vector<std::string>{
+           log4j_line(100, kBackend, "Started daemon with process name: 1"),
+           log4j_line(110, kBackend,
+                      "Connecting to driver for container "
+                      "container_1499100000000_0001_01_000002"),
+           log4j_line(120, kBackend,
+                      "Fetching state of application_1499100000000_0002"),
+           log4j_line(200, kBackend, "Got assigned task 0")};
+     }},
+    {"FirstLinePlain",
+     [] {
+       return std::vector<std::string>{"generation one, plain",
+                                       nm_transition(100, "LOCALIZING")};
+     }},
+    {"LastLinePlain",
+     [] {
+       return std::vector<std::string>{nm_transition(100, "LOCALIZING"),
+                                       "generation two, plain"};
+     }},
+};
+
+void PrintTo(const DamagedStreamCase& c, std::ostream* os) { *os << c.name; }
+
+class FollowDamagedStream : public ::testing::TestWithParam<DamagedStreamCase> {
+};
+
+TEST_P(FollowDamagedStream, LiveAppendsMatchBatchByteIdentically) {
+  logging::LogBundle logs;
+  for (const char* app : {"0001", "0002"}) {
+    logs.append("rm.log",
+                log4j_line(0, kRmApp,
+                           std::string("application_1499100000000_") + app +
+                               " State change from NEW_SAVING to SUBMITTED "
+                               "on event = APP_NEW_SAVED"));
+  }
+  for (std::string& line : GetParam().lines()) {
+    logs.append("damaged.log", std::move(line));
+  }
+  expect_live_appends_match_batch(
+      logs, std::string("sdc_follow_damaged_") + GetParam().name);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, FollowDamagedStream, ::testing::ValuesIn(kDamagedStreamCases),
+    [](const ::testing::TestParamInfo<DamagedStreamCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // --- rotation handoff --------------------------------------------------
 
@@ -442,19 +542,9 @@ TEST(Follow, SnapshotReportsRotationFamiliesAsOfLastPoll) {
             analysis_json(batch_analyze(dir)));
 }
 
-TEST(Follow, UnreadableFileDiagnosedOnceAndMatchesBatch) {
-  if (::geteuid() == 0) {
-    GTEST_SKIP() << "permission checks are bypassed when running as root";
-  }
-  const auto run = small_run(2, 704);
-  const fs::path dir = scratch_dir("sdc_follow_unreadable");
-  const auto names = run.logs.stream_names();
-  for (const auto& name : names) {
-    append_bytes(dir / name, join_lines(run.logs.lines(name)));
-  }
-  append_bytes(dir / "secret.log", "not for you\n");
-  fs::permissions(dir / "secret.log", fs::perms::none);
-
+/// Follow's unreadable-file branch: one diagnostic however many polls,
+/// and the batch reader's exact wording.
+void expect_unreadable_diagnosed_once(const fs::path& dir) {
   FollowService service(dir, FollowOptions{.retire = false});
   for (int i = 0; i < 3; ++i) service.poll_once();
   service.finish();
@@ -470,6 +560,52 @@ TEST(Follow, UnreadableFileDiagnosedOnceAndMatchesBatch) {
   }
   EXPECT_EQ(unreadable, 1u);  // three polls, one record
   EXPECT_EQ(analysis_json(live), analysis_json(batch_analyze(dir)));
+}
+
+TEST(Follow, UnreadableFileDiagnosedOnceAndMatchesBatch) {
+  const auto run = small_run(2, 704);
+  const fs::path dir = scratch_dir("sdc_follow_unreadable");
+  const auto names = run.logs.stream_names();
+  for (const auto& name : names) {
+    append_bytes(dir / name, join_lines(run.logs.lines(name)));
+  }
+  append_bytes(dir / "secret.log", "not for you\n");
+  fs::permissions(dir / "secret.log", fs::perms::none);
+
+  if (::geteuid() != 0) {
+    expect_unreadable_diagnosed_once(dir);
+  } else {
+    // Root bypasses permission checks: run the body in a child that
+    // drops to an unprivileged uid.  The directory and the other logs
+    // stay listable and readable for it.
+    constexpr ::uid_t kNobody = 65534;
+    fs::permissions(dir, fs::perms::owner_all | fs::perms::group_read |
+                             fs::perms::group_exec | fs::perms::others_read |
+                             fs::perms::others_exec);
+    std::fflush(stdout);
+    const ::pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      if (::setresgid(kNobody, kNobody, kNobody) != 0 ||
+          ::setresuid(kNobody, kNobody, kNobody) != 0) {
+        ::_exit(77);
+      }
+      expect_unreadable_diagnosed_once(dir);
+      std::fflush(stdout);
+      ::_exit(::testing::Test::HasFailure() ? 1 : 0);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status));
+    if (WEXITSTATUS(status) == 77) {
+      fs::permissions(dir / "secret.log", fs::perms::owner_all);
+      GTEST_SKIP() << "running as root without CAP_SETUID/CAP_SETGID: "
+                      "cannot drop to uid 65534, and root bypasses the "
+                      "permission check under test";
+    }
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "the unprivileged child reported failures (see its output above)";
+  }
   fs::permissions(dir / "secret.log", fs::perms::owner_all);
 }
 

@@ -188,7 +188,13 @@ TEST(Extractor, ClassifyByLoggerClass) {
 std::optional<SchedEvent> extract(const std::string& line) {
   const auto parsed = parse_line(line);
   if (!parsed) return std::nullopt;
-  return extract_event(*parsed, "test.log", 1);
+  auto pool = std::make_shared<StringInterner>();
+  const std::uint32_t stream = pool->intern("test.log");
+  EventBatch batch(std::move(pool));
+  if (!extract_event_into(*parsed, stream, 1, batch)) return std::nullopt;
+  const EventBatch::View row = batch[0];
+  return SchedEvent{row.kind, row.ts_ms, row.app, row.container,
+                    std::string(row.stream), row.line_no};
 }
 
 std::string rm_container_line(const std::string& from, const std::string& to) {
