@@ -38,7 +38,7 @@ for i in 0 1 2 3; do
 done
 
 # One fleet pass: per-corpus documents plus the summary baseline.
-ok_or_diag "$SDCHECKER" fleet "$ROOT" --threads 4 --shards 3 \
+ok_or_diag "$SDCHECKER" fleet "$ROOT" --threads 4 \
   --out-dir "$WORK/out" --json "$WORK/fleet.json"
 
 # 1. Byte parity: fleet output == standalone analyze, per corpus.

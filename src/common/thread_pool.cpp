@@ -48,7 +48,10 @@ ThreadPool::ThreadPool(std::size_t threads) {
   }
 }
 
+ThreadPool ThreadPool::calling_thread() { return ThreadPool(NoWorkers{}); }
+
 ThreadPool::~ThreadPool() {
+  if (workers_.empty()) wait_idle();
   {
     MutexLock lock(mu_);
     stopping_ = true;
@@ -88,6 +91,13 @@ bool ThreadPool::try_run_one() {
 }
 
 void ThreadPool::wait_idle() {
+  if (workers_.empty()) {
+    // The waiter is the pool's only thread; tasks its tasks enqueue run
+    // here too.
+    while (try_run_one()) {
+    }
+    return;
+  }
   MutexLock lock(mu_);
   while (!queue_.empty() || in_flight_ != 0) cv_idle_.wait(lock);
 }

@@ -1,5 +1,5 @@
-// A small fixed-size thread pool used by SDchecker's parallel log miner
-// (one shard per log file), the fleet-mode multi-corpus pipeline, and
+// A small fixed-size thread pool used by SDchecker's analysis pipeline
+// (one corpus or a fleet of them), `LogMiner`'s parallel chunks, and
 // the benchmark harness for parameter sweeps.  Tasks are plain
 // `std::function<void()>`; use `parallel_for` for the common
 // chunked-index pattern.
@@ -53,6 +53,11 @@ class ThreadPool {
  public:
   /// Spawns `threads` workers; 0 means `hardware_concurrency` (min 1).
   explicit ThreadPool(std::size_t threads = 0);
+  /// A one-thread pool that spawns no worker: its thread is whoever
+  /// waits on it (`wait_idle`, `parallel_for`, `try_run_one`), so what
+  /// its tasks allocate stays in the caller's malloc arena — where the
+  /// caller's later allocations reuse it, as in a plain serial call.
+  [[nodiscard]] static ThreadPool calling_thread();
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -68,14 +73,18 @@ class ThreadPool {
   /// nested fan-out on one pool cannot deadlock.
   bool try_run_one() SDC_EXCLUDES(mu_);
 
-  /// Blocks until every submitted task has completed.
+  /// Blocks until every submitted task has completed (on a
+  /// `calling_thread` pool: runs them).
   void wait_idle() SDC_EXCLUDES(mu_);
 
   [[nodiscard]] std::size_t thread_count() const noexcept {
-    return workers_.size();
+    return workers_.empty() ? 1 : workers_.size();
   }
 
  private:
+  struct NoWorkers {};
+  explicit ThreadPool(NoWorkers) {}
+
   void worker_loop() SDC_EXCLUDES(mu_);
 
   /// Written once in the constructor, read-only afterwards (workers

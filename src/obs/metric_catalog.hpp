@@ -210,7 +210,7 @@ inline constexpr MetricSpec kAnalyzeAnomalies{
     "anomaly findings"};
 inline constexpr MetricSpec kAnalyzeShards{
     "analyze.shards", MetricKind::kCounter, "shards",
-    "analysis shards run by the sharded finalize (`--analyze-shards`)"};
+    "grouping shards finalized (min(threads, 8) per corpus)"};
 inline constexpr MetricSpec kSdcDelay{
     "sdc.delay.<component>", MetricKind::kHistogram, "ms",
     "per-component delay samples in ms, one per delay-component catalog "

@@ -376,7 +376,7 @@ AnalysisResult stream_corpus(const LogBundle& corpus, Rng& rng,
     if (!lines.empty()) analyzer.feed_all(feed.name, lines);
     if (feed.read == feed.bytes.size()) open.erase(open.begin() + pick);
   }
-  return analyzer.snapshot(options.analyze_shards);
+  return analyzer.snapshot();
 }
 
 /// Batch analysis as a drained follow service reports it: rotation-gap

@@ -2,26 +2,14 @@
 // day / experiment run) in a single pipelined pass, then gate the
 // combined delay distributions against a committed baseline.
 //
-// The scheduling problem fleet mode solves: running `analyze` per corpus
-// serializes at two points — every corpus waits for its slowest mining
-// chunk before grouping starts (a barrier), and corpora run one after
-// another (no overlap).  Fleet mode instead runs *everything* on one
-// ThreadPool with two-level sharding (corpus × chunk for mining, corpus
-// × app-shard for grouping) and no per-corpus barriers: the moment a
-// stream's last chunk is mined, that stream is stitched and its events
-// are folded into the corpus's sharded grouping tables while other
-// chunks — of this corpus and of others — are still mining.  The last
-// stream triggers finalization, which fans out per-app decomposition on
-// the same pool (nested `parallel_for` is safe: waiters help drain the
-// queue instead of blocking — see thread_pool.hpp).
-//
-// Determinism: per-stream event batches are applied to grouping tables
-// in completion order, which is racy — but `KindFirstTs::record` keeps
-// the *minimum* timestamp and counts are additive, so event application
-// commutes, and `finalize_analysis` re-orders apps deterministically.
-// Each corpus's `analysis_json` is therefore byte-identical to a
-// standalone `sdchecker analyze --json` of the same directory (the fleet
-// parity test pins this down).
+// Running `analyze` per corpus would run corpora one after another.
+// Fleet mode starts every corpus's pipeline (`start_corpus`, see
+// sdchecker.hpp — the very pipeline `SdChecker` runs for one corpus) on
+// one shared ThreadPool: the chunks of all corpora interleave, and each
+// corpus is finalized and rendered the moment its last stream is
+// grouped, while other corpora are still mining.  Each corpus's
+// `analysis_json` is therefore byte-identical to a standalone
+// `sdchecker analyze --json` of the same directory by construction.
 #pragma once
 
 #include <cstddef>
@@ -38,9 +26,6 @@ namespace sdc::checker {
 struct FleetOptions {
   /// Worker threads for the shared pool; 0 = hardware concurrency.
   std::size_t threads = 0;
-  /// Grouping shards per corpus; 0 = derived from `threads` (capped at 8
-  /// — shards beyond the thread count only add table-merge work).
-  std::size_t shards_per_corpus = 0;
   /// Forwarded to MinerOptions (see miner.hpp).
   std::size_t shard_grain = 8192;
   std::int64_t skew_budget_ms = 1000;
@@ -68,6 +53,7 @@ struct FleetResult {
   /// in name order).
   std::vector<CorpusResult> corpora;
   std::size_t threads = 0;
+  /// `analysis_shards(threads)`; reported, never chosen.
   std::size_t shards_per_corpus = 0;
   /// Per-component histograms summed across every successful corpus —
   /// what the regression gate compares against a baseline.
@@ -87,9 +73,9 @@ struct FleetResult {
 [[nodiscard]] std::vector<std::filesystem::path> discover_corpora(
     const std::filesystem::path& root);
 
-/// Analyzes every corpus on one shared pool (pipelined; see the file
-/// comment).  A corpus that cannot be read becomes a CorpusResult with
-/// `error` set — the fleet never aborts on one bad corpus.
+/// Analyzes every corpus on one shared pool (see the file comment).  A
+/// corpus that cannot be read becomes a CorpusResult with `error` set —
+/// the fleet never aborts on one bad corpus.
 [[nodiscard]] FleetResult analyze_fleet(
     const std::vector<std::filesystem::path>& corpora,
     const FleetOptions& options = {});

@@ -292,7 +292,7 @@ void FollowService::finish() {
 }
 
 AnalysisResult FollowService::snapshot() const {
-  AnalysisResult result = analyzer_.snapshot(options_.analyze_shards);
+  AnalysisResult result = analyzer_.snapshot();
 
   // Synthesize the diagnostics the batch directory reader would emit on
   // the files the last poll reconciled.  Rotated families reassembled by

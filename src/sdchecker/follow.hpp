@@ -40,10 +40,6 @@ struct FollowOptions {
   /// Per-line analysis knobs (skew budget, burst threshold, parked-event
   /// cap); threads/shard_grain are ignored — tailing is serial.
   MinerOptions miner = {};
-  /// Shards for the snapshot finalize stage (same meaning as
-  /// `AnalyzeOptions::analyze_shards`; snapshots are byte-identical
-  /// either way).
-  std::size_t analyze_shards = 1;
   /// Retire terminal applications (free their timelines) once they have
   /// been quiet for this many polls.  The grace absorbs out-of-order
   /// stragglers across streams; events arriving after retirement are

@@ -1,15 +1,10 @@
 #include "sdchecker/grouping.hpp"
 
-#include <algorithm>
-
-#include "common/thread_pool.hpp"
-#include "obs/tracer.hpp"
-
 namespace sdc::checker {
 namespace {
 
-/// Shared event-application body for the ordered (serial `group_events`,
-/// incremental) and flat (sharded) application tables.  `container` is
+/// Shared event-application body for the ordered (serial `group_events`)
+/// and flat (incremental, sharded) application tables.  `container` is
 /// nullptr for application-scoped events.
 template <class Apps>
 void apply_event_parts(Apps& apps, const ApplicationId& app_id,
@@ -26,15 +21,6 @@ void apply_event_parts(Apps& apps, const ApplicationId& app_id,
     app.first_ts.record(kind, ts_ms);
     ++app.counts[kind];
   }
-}
-
-template <class Apps>
-bool apply_event_impl(Apps& apps, const SchedEvent& event) {
-  if (!event.app) return false;
-  apply_event_parts(apps, *event.app,
-                    event.container ? &*event.container : nullptr, event.kind,
-                    event.ts_ms);
-  return true;
 }
 
 }  // namespace
@@ -103,14 +89,6 @@ bool apply_event(AppTable& apps, const EventBatch& events, std::size_t row) {
   return true;
 }
 
-GroupResult group_events(const std::vector<SchedEvent>& events) {
-  GroupResult result;
-  for (const SchedEvent& event : events) {
-    if (!apply_event_impl(result.apps, event)) ++result.unattributed;
-  }
-  return result;
-}
-
 GroupResult group_events(const EventBatch& events) {
   GroupResult result;
   const std::size_t n = events.size();
@@ -129,59 +107,6 @@ GroupResult group_events(const EventBatch& events) {
 
 std::size_t timeline_shard(const ApplicationId& app, std::size_t shards) {
   return ApplicationIdHash{}(app) % shards;
-}
-
-ShardedGroupResult group_events_sharded(const std::vector<SchedEvent>& events,
-                                        std::size_t shards, ThreadPool& pool) {
-  ShardedGroupResult result;
-  result.shards.resize(std::max<std::size_t>(1, shards));
-  const std::size_t shard_count = result.shards.size();
-  // Written by shard 0's task only; parallel_for's completion barrier
-  // orders the write before the read below.
-  std::size_t unattributed = 0;
-  parallel_for(pool, shard_count, [&](std::size_t s) {
-    const auto span = obs::Tracer::global().span("analyze.shard");
-    AppTable& apps = result.shards[s];
-    for (const SchedEvent& event : events) {
-      if (!event.app) {
-        // Unattributable events belong to no shard; have exactly one
-        // shard count them so the total matches the serial pass.
-        if (s == 0) ++unattributed;
-        continue;
-      }
-      if (timeline_shard(*event.app, shard_count) != s) continue;
-      apply_event_impl(apps, event);
-    }
-  });
-  result.unattributed = unattributed;
-  return result;
-}
-
-ShardedGroupResult group_events_sharded(const EventBatch& events,
-                                        std::size_t shards, ThreadPool& pool) {
-  ShardedGroupResult result;
-  result.shards.resize(std::max<std::size_t>(1, shards));
-  const std::size_t shard_count = result.shards.size();
-  std::size_t unattributed = 0;
-  const std::size_t n = events.size();
-  parallel_for(pool, shard_count, [&](std::size_t s) {
-    const auto span = obs::Tracer::global().span("analyze.shard");
-    AppTable& apps = result.shards[s];
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!events.has_app(i)) {
-        if (s == 0) ++unattributed;
-        continue;
-      }
-      const ApplicationId& app = events.app_at(i);
-      if (timeline_shard(app, shard_count) != s) continue;
-      apply_event_parts(
-          apps, app,
-          events.has_container(i) ? &events.container_at(i) : nullptr,
-          events.kind_at(i), events.ts_at(i));
-    }
-  });
-  result.unattributed = unattributed;
-  return result;
 }
 
 std::size_t apply_batch_to_shard(const EventBatch& events, AppTable& apps,

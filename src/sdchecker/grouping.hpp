@@ -7,8 +7,8 @@
 //
 // Data layout: per-kind state lives in dense arrays indexed by the
 // enumerator value with a presence bitset (`KindFirstTs`/`KindCounts`),
-// containers in a sorted flat map, and the application table of the
-// sharded path in an open-addressing hash map — the hot
+// containers in a sorted flat map, and the application tables of the
+// pipeline's grouping shards in open-addressing hash maps — the hot
 // event-application work is bit tests and contiguous probes, never tree
 // walks.  Because `record` keeps the minimum timestamp and increments a
 // count, applying events is *commutative*: any partition of the event
@@ -26,10 +26,6 @@
 #include "common/flat_hash_map.hpp"
 #include "common/flat_map.hpp"
 #include "sdchecker/events.hpp"
-
-namespace sdc {
-class ThreadPool;
-}  // namespace sdc
 
 namespace sdc::checker {
 
@@ -205,9 +201,8 @@ struct GroupResult {
   std::size_t unattributed = 0;
 };
 
-[[nodiscard]] GroupResult group_events(const std::vector<SchedEvent>& events);
-/// Columnar variant: reads the batch's kind/ts/id arrays directly — no
-/// View materialization, no optional construction on the hot loop.
+/// Serial grouping into one ordered map: the reference the pipeline's
+/// sharded grouping (`apply_batch_to_shard`) is tested against.
 [[nodiscard]] GroupResult group_events(const EventBatch& events);
 
 /// Applies row `row` of `events` to the timelines (the incremental
@@ -225,33 +220,16 @@ bool apply_event(AppTable& apps, const EventBatch& events, std::size_t row);
 /// disjoint across shards (routed by `timeline_shard`).
 struct ShardedGroupResult {
   std::vector<AppTable> shards;
-  /// Events that could not be attributed to any application.
-  std::size_t unattributed = 0;
 };
-
-/// Groups `events` into `shards` per-shard tables on `pool`, one task
-/// per shard (each task scans the event vector and applies only its own
-/// applications' events — no cross-shard synchronization).  Equivalent
-/// to `group_events` state-wise; `finalize_analysis` restores the
-/// deterministic ordering.
-[[nodiscard]] ShardedGroupResult group_events_sharded(
-    const std::vector<SchedEvent>& events, std::size_t shards,
-    ThreadPool& pool);
-/// Columnar variant; each shard's scan walks the contiguous app-id and
-/// flag columns instead of striding over whole event structs.
-[[nodiscard]] ShardedGroupResult group_events_sharded(const EventBatch& events,
-                                                      std::size_t shards,
-                                                      ThreadPool& pool);
 
 /// One shard's pass over one batch: applies every event whose
 /// application routes to `shard` (of `shard_count`) into `apps`.
 /// Returns how many events carried no application id — counted by shard
-/// 0 only, the same single-count convention as `group_events_sharded`,
-/// so summing the return values over all shards and batches matches the
-/// serial pass.  Fleet mode (fleet.cpp) feeds per-stream batches through
-/// this as streams finish stitching, instead of merging the corpus's
-/// events first: `KindFirstTs::record` keeps the minimum timestamp, so
-/// applying batches in any order reproduces the merged result.
+/// 0 only, so summing the return values over all shards and batches
+/// matches the serial pass.  The pipeline (`start_corpus`) feeds each
+/// stream's batch through this as the stream finishes stitching, in any
+/// order: `KindFirstTs::record` keeps the minimum timestamp, so applying
+/// batches in any order reproduces grouping the merged events.
 std::size_t apply_batch_to_shard(const EventBatch& events, AppTable& apps,
                                  std::size_t shard, std::size_t shard_count);
 

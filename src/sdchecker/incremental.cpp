@@ -4,7 +4,6 @@
 #include <map>
 #include <utility>
 
-#include "common/thread_pool.hpp"
 #include "obs/metric_catalog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
@@ -136,28 +135,11 @@ Delays IncrementalAnalyzer::delays_for(const ApplicationId& app) const {
   return decompose(it->second);
 }
 
-AnalysisResult IncrementalAnalyzer::snapshot(
-    std::size_t analyze_shards) const {
+AnalysisResult IncrementalAnalyzer::snapshot() const {
   const auto span = obs::Tracer::global().span("incremental.snapshot");
-  AnalyzeOptions shard_options;
-  shard_options.analyze_shards = analyze_shards;
-  const std::size_t shards = shard_options.effective_analyze_shards();
-  AnalysisResult result;
-  if (shards > 1) {
-    // Route a copy of the live table into per-shard tables (the same
-    // partition group_events_sharded produces) and finalize in parallel.
-    ShardedGroupResult grouped;
-    grouped.shards.resize(shards);
-    for (const auto& [app, timeline] : timelines_) {
-      grouped.shards[timeline_shard(app, shards)][app] = timeline;
-    }
-    ThreadPool pool(shards);
-    result = finalize_analysis(std::move(grouped), pool, retired_);
-  } else {
-    std::map<ApplicationId, AppTimeline> ordered;
-    for (const auto& [app, timeline] : timelines_) ordered[app] = timeline;
-    result = finalize_analysis(std::move(ordered), retired_);
-  }
+  std::map<ApplicationId, AppTimeline> ordered;
+  for (const auto& [app, timeline] : timelines_) ordered[app] = timeline;
+  AnalysisResult result = finalize_analysis(std::move(ordered), retired_);
   result.lines_total = lines_total_;
   result.lines_unparsed = lines_unparsed_;
   result.events_total = events_total_;

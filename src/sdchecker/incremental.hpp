@@ -62,10 +62,8 @@ class IncrementalAnalyzer {
   /// Full snapshot: decompositions, aggregates and anomalies over
   /// everything seen so far — retired applications included, folded into
   /// the delays/aggregate/anomaly outputs at their app-ID position.
-  /// O(apps) — intended for periodic reporting.  `analyze_shards` > 1
-  /// runs the finalize stage sharded on that many pool threads (0 = one
-  /// per hardware thread); the report is byte-identical either way.
-  [[nodiscard]] AnalysisResult snapshot(std::size_t analyze_shards = 1) const;
+  /// O(apps) — intended for periodic reporting.
+  [[nodiscard]] AnalysisResult snapshot() const;
 
   // --- bounded-memory eviction (the follow service's discipline) ------
   //

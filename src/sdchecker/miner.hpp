@@ -224,11 +224,12 @@ struct MineResult {
 
 /// One corpus's mining work decomposed into schedulable pieces: the
 /// stream/chunk structure `LogMiner::mine` runs start-to-finish, exposed
-/// so fleet mode (fleet.hpp) can run the chunks of many corpora on one
-/// shared pool and stitch each stream — handing its events to grouping —
-/// the moment that stream's last chunk completes, instead of waiting for
-/// the whole corpus.  Both paths share this one pipeline, so the
-/// sharded/serial byte-identity proof covers fleet mining too.
+/// so the analysis pipeline (`start_corpus`, sdchecker.hpp) can run the
+/// chunks of one or many corpora on one pool and stitch each stream —
+/// handing its events to grouping — the moment that stream's last chunk
+/// completes, instead of waiting for the whole corpus.  Both share this
+/// one plan, so the sharded/serial byte-identity proof of the miner
+/// covers the pipeline's mining too.
 ///
 /// Protocol: construct over a live BundleView (the view must outlive the
 /// plan — chunks alias its lines), call `run_chunk` for every chunk

@@ -1,10 +1,16 @@
 #include "sdchecker/sdchecker.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <optional>
 #include <stdexcept>
-#include <thread>
 
+#include "common/mutex.hpp"
+#include "common/thread_annotations.hpp"
 #include "common/thread_pool.hpp"
+#include "logging/diagnostics.hpp"
+#include "logging/log_view.hpp"
 #include "obs/metric_catalog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
@@ -74,12 +80,6 @@ void merge_finalized(AnalysisResult& result, std::vector<Delays> decomposed,
 
 }  // namespace
 
-std::size_t AnalyzeOptions::effective_analyze_shards() const {
-  if (analyze_shards != 0) return analyze_shards;
-  const std::size_t hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
 SchedulingGraph AnalysisResult::graph_for(const ApplicationId& app) const {
   const auto it = timelines.find(app);
   if (it == timelines.end()) {
@@ -98,19 +98,38 @@ std::vector<const Anomaly*> AnalysisResult::anomalies_of(
 }
 
 AnalysisResult SdChecker::analyze(const logging::LogBundle& bundle) const {
-  LogMiner miner(options_.miner_options());
-  return analyze_mined(miner.mine(bundle));
+  const logging::BundleView view = logging::BundleView::from_bundle(bundle);
+  return run({}, &view);
 }
 
 AnalysisResult SdChecker::analyze(const logging::BundleView& view) const {
-  LogMiner miner(options_.miner_options());
-  return analyze_mined(miner.mine(view));
+  return run({}, &view);
 }
 
 AnalysisResult SdChecker::analyze_directory(
     const std::filesystem::path& dir) const {
-  LogMiner miner(options_.miner_options());
-  return analyze_mined(miner.mine_directory(dir));
+  return run(dir, nullptr);
+}
+
+AnalysisResult SdChecker::run(const std::filesystem::path& dir,
+                              const logging::BundleView* view) const {
+  const auto span = obs::Tracer::global().span("analyze.total");
+  std::exception_ptr error;
+  AnalysisResult result;
+  {
+    // At one thread the caller runs every task: what the run allocates
+    // stays in its own malloc arena, for its later allocations to reuse.
+    ThreadPool pool = options_.threads == 1 ? ThreadPool::calling_thread()
+                                            : ThreadPool(options_.threads);
+    start_corpus(pool, dir, view, options_.miner_options(),
+                 [&](std::exception_ptr e, AnalysisResult r) {
+                   error = std::move(e);
+                   result = std::move(r);
+                 });
+    pool.wait_idle();
+  }
+  if (error) std::rethrow_exception(error);
+  return result;
 }
 
 std::vector<AnalysisResult::Completeness> AnalysisResult::completeness()
@@ -234,35 +253,222 @@ AnalysisResult finalize_analysis(ShardedGroupResult grouped,
   return result;
 }
 
-AnalysisResult SdChecker::analyze_mined(MineResult mined) const {
-  const std::size_t shards = options_.effective_analyze_shards();
-  AnalysisResult result;
-  if (shards > 1) {
-    ThreadPool pool(shards);
-    ShardedGroupResult grouped = [&] {
-      const auto span = obs::Tracer::global().span("analyze.group");
-      return group_events_sharded(mined.events, shards, pool);
-    }();
-    const std::size_t unattributed = grouped.unattributed;
-    result = finalize_analysis(std::move(grouped), pool);
-    result.events_unattributed = unattributed;
-  } else {
-    GroupResult grouped = [&] {
-      const auto span = obs::Tracer::global().span("analyze.group");
-      return group_events(mined.events);
-    }();
-    result = finalize_analysis(std::move(grouped.apps));
-    result.events_unattributed = grouped.unattributed;
+std::size_t analysis_shards(std::size_t threads) {
+  return std::clamp<std::size_t>(threads, 1, 8);
+}
+
+namespace {
+
+/// All in-flight state of one `start_corpus` run.  Every task of the run
+/// holds a reference; the state dies with the last one.
+struct CorpusRun {
+  std::filesystem::path dir;
+  /// The lines mined: the caller's view, or `owned_view`.
+  const logging::BundleView* view = nullptr;
+  MinerOptions options;
+  std::size_t shard_count = 1;
+  CorpusDone done;
+
+  std::vector<logging::Diagnostic> io_diagnostics;
+  std::optional<logging::BundleView> owned_view;
+  std::optional<MinePlan> plan;
+
+  /// Countdowns to "stream fully mined" / "corpus fully stitched".  The
+  /// acq_rel fetch_sub chains publish every chunk's output to whichever
+  /// thread observes the last decrement and proceeds.
+  std::unique_ptr<std::atomic<std::size_t>[]> chunks_left;
+  std::atomic<std::size_t> streams_left{0};
+
+  struct StreamMeta {
+    std::size_t lines_total = 0;
+    std::size_t lines_unparsed = 0;
+    std::size_t events = 0;
+    std::vector<logging::Diagnostic> diagnostics;
+    logging::DiagnosticCounts diag_counts;
+  };
+  /// Slot s is written only by the thread that stitched stream s.
+  std::vector<StreamMeta> streams;
+
+  /// One grouping table per shard.  A shard's lock is held for one
+  /// batch application at a time, so two streams finishing close
+  /// together contend per shard, not per corpus.
+  struct Shard {
+    Mutex mu;
+    AppTable apps SDC_GUARDED_BY(mu);
+  };
+  std::unique_ptr<Shard[]> shards;
+  std::atomic<std::size_t> unattributed{0};
+
+  Mutex error_mu;
+  std::exception_ptr error SDC_GUARDED_BY(error_mu);
+  std::atomic<bool> failed{false};
+
+  /// Records the exception being handled, unless an earlier one was.
+  void fail() {
+    {
+      MutexLock lock(error_mu);
+      if (!error) error = std::current_exception();
+    }
+    failed.store(true, std::memory_order_release);
   }
-  result.lines_total = mined.lines_total;
-  result.lines_unparsed = mined.lines_unparsed;
-  result.events_total = mined.events.size();
-  result.diagnostics = std::move(mined.diagnostics);
-  result.diag_counts = mined.diag_counts;
-  // Report order is severity-then-class, independent of mining thread
-  // count; the mining layer itself keeps discovery order.
-  logging::sort_diagnostics(result.diagnostics);
-  return result;
+  [[nodiscard]] std::exception_ptr first_error() {
+    MutexLock lock(error_mu);
+    return error;
+  }
+};
+
+/// Runs on the thread that saw the corpus's last stream complete:
+/// finalizes the grouping tables (the nested `parallel_for` helps drain
+/// the pool), then the counts and diagnostics — I/O findings first,
+/// stream findings in stream (= logical name) order, then the severity
+/// sort — exactly as one merged mine of the corpus reports them.
+void finalize_corpus(CorpusRun& run, ThreadPool& pool) {
+  AnalysisResult result;
+  if (!run.failed.load(std::memory_order_acquire)) {
+    try {
+      ShardedGroupResult grouped;
+      grouped.shards.reserve(run.shard_count);
+      for (std::size_t s = 0; s < run.shard_count; ++s) {
+        MutexLock lock(run.shards[s].mu);
+        grouped.shards.push_back(std::move(run.shards[s].apps));
+      }
+      result = finalize_analysis(std::move(grouped), pool);
+      result.events_unattributed =
+          run.unattributed.load(std::memory_order_relaxed);
+
+      for (const logging::Diagnostic& diagnostic : run.io_diagnostics) {
+        result.diag_counts.add(diagnostic);
+      }
+      result.diagnostics = std::move(run.io_diagnostics);
+      for (CorpusRun::StreamMeta& meta : run.streams) {
+        result.lines_total += meta.lines_total;
+        result.lines_unparsed += meta.lines_unparsed;
+        result.events_total += meta.events;
+        for (logging::Diagnostic& diagnostic : meta.diagnostics) {
+          // The mine.diagnostics counters cover stream findings only
+          // (I/O findings are bundle-level).
+          obs::catalog_counter(obs::metric::kMineDiagnostics,
+                               logging::diagnostic_kind_name(diagnostic.kind))
+              .add(diagnostic.count);
+          result.diagnostics.push_back(std::move(diagnostic));
+        }
+        result.diag_counts += meta.diag_counts;
+      }
+      logging::sort_diagnostics(result.diagnostics);
+      obs::catalog_counter(obs::metric::kMineStreams).add(run.streams.size());
+      obs::catalog_counter(obs::metric::kMineEvents).add(result.events_total);
+    } catch (const std::exception&) {
+      run.fail();
+      result = AnalysisResult();
+    }
+  }
+  // Let go of the lines and the chunk slots before the result is handed
+  // on: with many corpora in flight this bounds peak memory to the
+  // active set.
+  run.plan.reset();
+  run.owned_view.reset();
+  const CorpusDone done = std::move(run.done);
+  done(run.first_error(), std::move(result));
+}
+
+void run_corpus_chunk(const std::shared_ptr<CorpusRun>& run, ThreadPool& pool,
+                      std::size_t chunk) {
+  if (!run->failed.load(std::memory_order_relaxed)) {
+    try {
+      run->plan->run_chunk(chunk);
+    } catch (const std::exception&) {
+      run->fail();
+    }
+  }
+  const std::size_t stream = run->plan->stream_of(chunk);
+  if (run->chunks_left[stream].fetch_sub(1, std::memory_order_acq_rel) !=
+      1) {
+    return;
+  }
+  // This chunk completed its stream: stitch it and hand its events to
+  // grouping now, while other chunks are still mining.
+  if (!run->failed.load(std::memory_order_acquire)) {
+    try {
+      MinedStream stitched = [&] {
+        const auto span = obs::Tracer::global().span("mine.stitch");
+        return run->plan->stitch(stream);
+      }();
+      {
+        const auto span = obs::Tracer::global().span("analyze.group");
+        for (std::size_t s = 0; s < run->shard_count; ++s) {
+          std::size_t unattributed = 0;
+          {
+            MutexLock lock(run->shards[s].mu);
+            unattributed = apply_batch_to_shard(
+                stitched.events, run->shards[s].apps, s, run->shard_count);
+          }
+          if (s == 0) {
+            run->unattributed.fetch_add(unattributed,
+                                        std::memory_order_relaxed);
+          }
+        }
+      }
+      CorpusRun::StreamMeta& meta = run->streams[stream];
+      meta.lines_total = stitched.lines_total;
+      meta.lines_unparsed = stitched.lines_unparsed;
+      meta.events = stitched.events.size();
+      meta.diagnostics = std::move(stitched.diagnostics);
+      meta.diag_counts = stitched.diag_counts;
+    } catch (const std::exception&) {
+      run->fail();
+    }
+  }
+  if (run->streams_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    finalize_corpus(*run, pool);
+  }
+}
+
+void open_corpus(const std::shared_ptr<CorpusRun>& run, ThreadPool& pool) {
+  try {
+    const auto span = obs::Tracer::global().span("analyze.open");
+    if (run->view == nullptr) {
+      run->owned_view.emplace(logging::BundleView::read_from_directory(
+          run->dir, &run->io_diagnostics));
+      run->view = &*run->owned_view;
+    }
+    run->plan.emplace(*run->view, run->options);
+  } catch (const std::exception&) {
+    run->fail();
+    finalize_corpus(*run, pool);
+    return;
+  }
+  const std::size_t streams = run->plan->stream_count();
+  run->streams.resize(streams);
+  run->shards = std::make_unique<CorpusRun::Shard[]>(run->shard_count);
+  if (streams == 0) {
+    finalize_corpus(*run, pool);
+    return;
+  }
+  run->chunks_left = std::make_unique<std::atomic<std::size_t>[]>(streams);
+  for (std::size_t s = 0; s < streams; ++s) {
+    run->chunks_left[s].store(run->plan->chunks_of(s),
+                              std::memory_order_relaxed);
+  }
+  run->streams_left.store(streams, std::memory_order_release);
+  const std::size_t chunks = run->plan->chunk_count();
+  for (std::size_t c = 0; c < chunks; ++c) {
+    pool.submit([run, &pool, c] { run_corpus_chunk(run, pool, c); });
+  }
+}
+
+}  // namespace
+
+void start_corpus(ThreadPool& pool, const std::filesystem::path& dir,
+                  const logging::BundleView* view, MinerOptions options,
+                  CorpusDone done) {
+  auto run = std::make_shared<CorpusRun>();
+  run->dir = dir;
+  run->view = view;
+  options.threads = pool.thread_count();
+  run->options = options;
+  run->shard_count = analysis_shards(pool.thread_count());
+  run->done = std::move(done);
+  pool.submit([run, &pool] { open_corpus(run, pool); });
 }
 
 }  // namespace sdc::checker

@@ -9,7 +9,9 @@
 //   std::cout << result.aggregate.render_text();
 #pragma once
 
+#include <exception>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -21,10 +23,16 @@
 #include "sdchecker/miner.hpp"
 #include "sdchecker/report.hpp"
 
+namespace sdc {
+class ThreadPool;
+}  // namespace sdc
+
 namespace sdc::checker {
 
 struct AnalyzeOptions {
-  /// Worker threads for the mining stage (1 = serial).
+  /// Worker threads of the pipeline's pool (0 = one per hardware
+  /// thread).  Mining chunks, grouping and per-app finalize all run on
+  /// it; the output never depends on the count.
   std::size_t threads = 1;
   /// Minimum lines per intra-stream mining chunk (see MinerOptions);
   /// 0 disables intra-stream sharding.
@@ -32,15 +40,6 @@ struct AnalyzeOptions {
   /// Within-stream backwards timestamp jumps beyond this budget become
   /// kTimestampRegression diagnostics (see MinerOptions).
   std::int64_t skew_budget_ms = 1000;
-  /// Shards (and worker threads) for the post-mining analysis stage:
-  /// grouping is partitioned by application, decomposition and anomaly
-  /// detection run per app on a pool.  1 = the serial stage; 0 = one
-  /// shard per hardware thread.  Output is byte-identical either way —
-  /// the merge restores the serial app-ID order.
-  std::size_t analyze_shards = 1;
-
-  /// `analyze_shards` with 0 resolved to the hardware concurrency.
-  [[nodiscard]] std::size_t effective_analyze_shards() const;
 
   [[nodiscard]] MinerOptions miner_options() const {
     MinerOptions options;
@@ -99,6 +98,9 @@ struct AnalysisResult {
   [[nodiscard]] std::string render_diagnostics() const;
 };
 
+/// Runs the pipeline (`start_corpus`) for one corpus on a pool of
+/// `AnalyzeOptions::threads` workers (at 1, `ThreadPool::calling_thread`)
+/// and waits for it: a fleet of one.  Read errors are rethrown as thrown.
 class SdChecker {
  public:
   explicit SdChecker(AnalyzeOptions options = {}) : options_(options) {}
@@ -110,7 +112,8 @@ class SdChecker {
       const std::filesystem::path& dir) const;
 
  private:
-  AnalysisResult analyze_mined(MineResult mined) const;
+  AnalysisResult run(const std::filesystem::path& dir,
+                     const logging::BundleView* view) const;
 
   AnalyzeOptions options_;
 };
@@ -130,7 +133,8 @@ struct RetiredApp {
 using RetiredTable = std::map<ApplicationId, RetiredApp>;
 
 /// Runs the decomposition + anomaly + aggregation stages over already-
-/// grouped timelines (shared by SdChecker and the incremental analyzer).
+/// grouped timelines in one thread (the incremental analyzer's snapshot,
+/// and the serial reference the pipeline is tested against).
 /// `retired` rows (apps disjoint from `timelines`) are folded into the
 /// delays/aggregate/anomaly outputs at their app-ID position; only
 /// `AnalysisResult::timelines` (and the reports derived from it) is
@@ -139,14 +143,47 @@ using RetiredTable = std::map<ApplicationId, RetiredApp>;
     std::map<ApplicationId, AppTimeline> timelines,
     const RetiredTable& retired = {});
 
-/// Sharded/parallel variant: folds the per-shard tables into the
-/// deterministic app-ID order, decomposes and anomaly-checks each app on
-/// `pool`, then merges aggregates/delays/anomalies in that order — the
-/// result (including `analysis_json`) is byte-identical to the serial
-/// overload on the same grouped state.  Consumes the shard tables.
+/// Sharded/parallel variant (the pipeline's): folds the per-shard tables
+/// into the deterministic app-ID order, decomposes and anomaly-checks
+/// each app on `pool`, then merges aggregates/delays/anomalies in that
+/// order — the result (including `analysis_json`) is byte-identical to
+/// the serial overload on the same grouped state.  Consumes the shard
+/// tables.
 [[nodiscard]] AnalysisResult finalize_analysis(ShardedGroupResult grouped,
                                                ThreadPool& pool,
                                                const RetiredTable& retired =
                                                    {});
+
+/// Grouping shards per corpus on a pool of `threads` workers:
+/// min(threads, 8), at least 1 — shards beyond the thread count only add
+/// table-merge work.  The output never depends on it.
+[[nodiscard]] std::size_t analysis_shards(std::size_t threads);
+
+/// Receives one corpus run's outcome: the first exception the run caught
+/// (then `result` is empty), or null and the result.
+using CorpusDone =
+    std::function<void(std::exception_ptr error, AnalysisResult result)>;
+
+/// Starts the analysis pipeline for one corpus on `pool` and returns at
+/// once.  An open task reads the corpus (`dir`, unless `view` is given)
+/// and plans its mining chunks; one task per chunk mines it; the task
+/// that ends a stream stitches the stream and folds its events into
+/// `analysis_shards(pool.thread_count())` grouping tables; the task that
+/// ends the last stream finalizes (its per-app fan-out helps drain the
+/// same pool) and calls `done`, after the run has let go of the lines.
+/// There are no barriers, so the chunks of many corpora started on one
+/// pool interleave (fleet mode).
+///
+/// Streams finish in a racy order, but grouping commutes
+/// (`KindFirstTs::record` keeps the minimum, counts add) and finalize
+/// restores app-ID order, so the result is byte-identical to mining the
+/// whole corpus, merging its events and grouping them serially
+/// (`group_events` + `finalize_analysis`), for every pool size.
+///
+/// `view`, when not null, is mined in place and must outlive `done`.
+/// `options.threads` is taken from the pool.
+void start_corpus(ThreadPool& pool, const std::filesystem::path& dir,
+                  const logging::BundleView* view, MinerOptions options,
+                  CorpusDone done);
 
 }  // namespace sdc::checker

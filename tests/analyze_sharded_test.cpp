@@ -1,13 +1,16 @@
 // Sharded-vs-serial equivalence for the analysis stage.
 //
-// The whole point of the app-partitioned pipeline is that it is an
-// *invisible* optimization: every export byte, every diagnostic, every
-// aggregate percentile must match the serial stage exactly.  These tests
-// pin that down for several shard counts (including more shards than
-// apps), for repeated runs, and for the incremental analyzer's snapshot
-// fold.
+// The pipeline groups each stream's events into app-partitioned shards
+// as the stream finishes, in any order.  That must be *invisible*: every
+// export byte, every diagnostic, every aggregate percentile must match
+// the serial reference (merged events, `group_events`, one-thread
+// finalize).  These tests pin that down at the grouping layer for
+// several shard counts (including more shards than apps), end to end
+// for several thread counts, for repeated runs, and for the incremental
+// analyzer's snapshot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "sdchecker/incremental.hpp"
 #include "sdchecker/sdchecker.hpp"
 #include "sdchecker/trace_export.hpp"
+#include "serial_reference.hpp"
 #include "workloads/tpch.hpp"
 
 namespace sdc::checker {
@@ -41,11 +45,33 @@ logging::LogBundle make_corpus(int jobs) {
   return logs;
 }
 
-AnalysisResult analyze_with_shards(const logging::LogBundle& logs,
-                                   std::size_t shards) {
-  AnalyzeOptions options;
-  options.analyze_shards = shards;
-  return SdChecker(options).analyze(logs);
+AnalysisResult serial_reference(const logging::LogBundle& logs) {
+  return serial_reference(LogMiner().mine(logs));
+}
+
+/// The pipeline's grouping layer at `shards` shards: each stitched
+/// stream's batch applied to every shard (`apply_batch_to_shard`), then
+/// the sharded finalize.
+AnalysisResult sharded_grouping(const logging::LogBundle& logs,
+                                std::size_t shards) {
+  const logging::BundleView view = logging::BundleView::from_bundle(logs);
+  MinePlan plan(view, MinerOptions{});
+  for (std::size_t c = 0; c < plan.chunk_count(); ++c) plan.run_chunk(c);
+  ShardedGroupResult grouped;
+  grouped.shards.resize(shards);
+  std::size_t unattributed = 0;
+  // Last stream first: the order batches arrive in must not matter.
+  for (std::size_t stream = plan.stream_count(); stream-- > 0;) {
+    const MinedStream stitched = plan.stitch(stream);
+    for (std::size_t s = 0; s < shards; ++s) {
+      unattributed += apply_batch_to_shard(stitched.events, grouped.shards[s],
+                                           s, shards);
+    }
+  }
+  ThreadPool pool(3);
+  AnalysisResult result = finalize_analysis(std::move(grouped), pool);
+  result.events_unattributed = unattributed;
+  return with_mining(std::move(result), LogMiner().mine(logs));
 }
 
 std::string diagnostics_fingerprint(const AnalysisResult& analysis) {
@@ -57,46 +83,59 @@ std::string diagnostics_fingerprint(const AnalysisResult& analysis) {
   return out;
 }
 
+void expect_identical(const AnalysisResult& got, const AnalysisResult& want,
+                      const std::string& label) {
+  EXPECT_EQ(analysis_json(got), analysis_json(want)) << label;
+  EXPECT_EQ(scheduling_trace_json(got), scheduling_trace_json(want)) << label;
+  EXPECT_EQ(diagnostics_fingerprint(got), diagnostics_fingerprint(want))
+      << label;
+  EXPECT_EQ(got.events_total, want.events_total) << label;
+  EXPECT_EQ(got.events_unattributed, want.events_unattributed) << label;
+  EXPECT_EQ(got.anomalies.size(), want.anomalies.size()) << label;
+  EXPECT_EQ(got.render_completeness(), want.render_completeness()) << label;
+  // The aggregate comparison must read as an exact identity.
+  const ComparisonResult delta = compare(want, got);
+  EXPECT_TRUE(delta.significant(1e-9).empty()) << label;
+}
+
 TEST(AnalyzeSharded, ShardCountsProduceByteIdenticalOutput) {
   const logging::LogBundle logs = make_corpus(9);
-  const AnalysisResult serial = analyze_with_shards(logs, 1);
+  const AnalysisResult serial = serial_reference(logs);
   ASSERT_GE(serial.timelines.size(), 9u);
-  const std::string serial_json = analysis_json(serial);
-  const std::string serial_trace = scheduling_trace_json(serial);
-  const std::string serial_diag = diagnostics_fingerprint(serial);
+  for (const std::size_t shards : {1, 2, 7, 16, 64}) {
+    expect_identical(sharded_grouping(logs, shards), serial,
+                     "shards=" + std::to_string(shards));
+  }
+}
 
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{7}, std::size_t{16}}) {
-    const AnalysisResult sharded = analyze_with_shards(logs, shards);
-    EXPECT_EQ(analysis_json(sharded), serial_json) << "shards=" << shards;
-    EXPECT_EQ(scheduling_trace_json(sharded), serial_trace)
-        << "shards=" << shards;
-    EXPECT_EQ(diagnostics_fingerprint(sharded), serial_diag)
-        << "shards=" << shards;
-    EXPECT_EQ(sharded.events_total, serial.events_total);
-    EXPECT_EQ(sharded.events_unattributed, serial.events_unattributed);
-    EXPECT_EQ(sharded.anomalies.size(), serial.anomalies.size());
-    EXPECT_EQ(sharded.render_completeness(), serial.render_completeness());
-    // The aggregate comparison must read as an exact identity.
-    const ComparisonResult delta = compare(serial, sharded);
-    EXPECT_TRUE(delta.significant(1e-9).empty()) << "shards=" << shards;
+TEST(AnalyzeSharded, ThreadCountsProduceByteIdenticalOutput) {
+  const logging::LogBundle logs = make_corpus(9);
+  const AnalysisResult serial = serial_reference(logs);
+  for (const std::size_t threads : {1, 2, 7}) {
+    expect_identical(SdChecker({.threads = threads}).analyze(logs), serial,
+                     "threads=" + std::to_string(threads));
   }
 }
 
 TEST(AnalyzeSharded, RepeatedShardedRunsAreDeterministic) {
   const logging::LogBundle logs = make_corpus(6);
-  const std::string first = analysis_json(analyze_with_shards(logs, 4));
+  const SdChecker checker({.threads = 4});
+  const std::string first = analysis_json(checker.analyze(logs));
   for (int run = 0; run < 3; ++run) {
-    EXPECT_EQ(analysis_json(analyze_with_shards(logs, 4)), first);
+    EXPECT_EQ(analysis_json(checker.analyze(logs)), first);
   }
 }
 
 TEST(AnalyzeSharded, AutoShardCountResolvesToHardware) {
-  AnalyzeOptions options;
-  options.analyze_shards = 0;
-  EXPECT_GE(options.effective_analyze_shards(), 1u);
-  options.analyze_shards = 5;
-  EXPECT_EQ(options.effective_analyze_shards(), 5u);
+  // Shards follow the pool: min(threads, 8), and a pool asked for 0
+  // threads runs one per hardware thread.
+  EXPECT_EQ(analysis_shards(1), 1u);
+  EXPECT_EQ(analysis_shards(5), 5u);
+  EXPECT_EQ(analysis_shards(64), 8u);
+  const ThreadPool pool(0);
+  EXPECT_GE(pool.thread_count(), 1u);
+  EXPECT_EQ(analysis_shards(pool.thread_count()),
+            std::min<std::size_t>(pool.thread_count(), 8));
 }
 
 TEST(AnalyzeSharded, ShardRoutingIsTotalAndStable) {
@@ -112,22 +151,24 @@ TEST(AnalyzeSharded, ShardRoutingIsTotalAndStable) {
 
 TEST(AnalyzeSharded, GroupEventsShardedMatchesSerialGrouping) {
   const logging::LogBundle logs = make_corpus(5);
-  LogMiner miner;
-  const MineResult mined = miner.mine(logs);
+  const MineResult mined = LogMiner().mine(logs);
   const GroupResult serial = group_events(mined.events);
 
-  ThreadPool pool(4);
-  const ShardedGroupResult sharded =
-      group_events_sharded(mined.events, 4, pool);
-  EXPECT_EQ(sharded.unattributed, serial.unattributed);
+  constexpr std::size_t kShards = 4;
+  std::vector<AppTable> shards(kShards);
+  std::size_t unattributed = 0;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    unattributed += apply_batch_to_shard(mined.events, shards[s], s, kShards);
+  }
+  EXPECT_EQ(unattributed, serial.unattributed);
 
   std::size_t total_apps = 0;
   std::set<ApplicationId> seen;
-  for (std::size_t s = 0; s < sharded.shards.size(); ++s) {
-    for (const auto& [app, timeline] : sharded.shards[s]) {
+  for (std::size_t s = 0; s < kShards; ++s) {
+    for (const auto& [app, timeline] : shards[s]) {
       ++total_apps;
       EXPECT_TRUE(seen.insert(app).second) << "app in two shards";
-      EXPECT_EQ(timeline_shard(app, sharded.shards.size()), s);
+      EXPECT_EQ(timeline_shard(app, kShards), s);
       const auto it = serial.apps.find(app);
       ASSERT_NE(it, serial.apps.end());
       // Identical per-kind state: presence bits, first timestamps, and
@@ -144,21 +185,20 @@ TEST(AnalyzeSharded, GroupEventsShardedMatchesSerialGrouping) {
 }
 
 TEST(AnalyzeSharded, IncrementalSnapshotShardedMatchesSerial) {
+  // The snapshot's one-thread finalize equals the pipeline's sharded one.
   const logging::LogBundle logs = make_corpus(6);
   IncrementalAnalyzer analyzer;
   for (const std::string& name : logs.stream_names()) {
     analyzer.feed_all(name, logs.lines(name));
   }
-  const std::string serial = analysis_json(analyzer.snapshot());
-  EXPECT_EQ(analysis_json(analyzer.snapshot(4)), serial);
-  EXPECT_EQ(analysis_json(analyzer.snapshot(0)), serial);  // auto
+  EXPECT_EQ(analysis_json(analyzer.snapshot()),
+            analysis_json(SdChecker({.threads = 4}).analyze(logs)));
 }
 
 TEST(AnalyzeSharded, MoreShardsThanAppsStillCoversEverything) {
   const logging::LogBundle logs = make_corpus(2);
-  const AnalysisResult serial = analyze_with_shards(logs, 1);
-  const AnalysisResult wide = analyze_with_shards(logs, 64);
-  EXPECT_EQ(analysis_json(wide), analysis_json(serial));
+  EXPECT_EQ(analysis_json(sharded_grouping(logs, 64)),
+            analysis_json(serial_reference(logs)));
 }
 
 }  // namespace

@@ -84,16 +84,16 @@ TEST(CorpusMutator, NeverCrashesAcrossSeedsAndClasses) {
 TEST(CorpusMutator, StreamingMatchesBatchAcrossSeeds) {
   // Follow-mode parity over every damage class: each mutant, fed to the
   // streaming analyzer in seeded random splits (mid-line cuts included),
-  // snapshots to the batch analysis.  Sharded finalize too.
+  // snapshots to the batch analysis, at one and at three pipeline threads.
   for (const std::uint64_t seed : {1ull, 2ull, 3ull, 5ull, 8ull, 42ull}) {
-    for (const std::size_t shards : {1u, 3u}) {
+    for (const std::size_t threads : {1u, 3u}) {
       AnalyzeOptions options;
-      options.analyze_shards = shards;
+      options.threads = threads;
       for (const FuzzCaseResult& result :
            fuzz_corpus(golden(), seed, all_mutation_classes(), options)) {
         EXPECT_TRUE(result.streaming_parity)
             << mutation_class_name(result.cls) << " seed " << seed
-            << " shards " << shards;
+            << " threads " << threads;
         EXPECT_TRUE(result.ok) << mutation_class_name(result.cls);
       }
     }

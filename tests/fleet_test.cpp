@@ -1,10 +1,11 @@
-// Fleet mode: the pipelined multi-corpus pipeline must be an invisible
-// optimization per corpus — each corpus's analysis_json byte-identical
-// to a standalone analyze of the same directory — and the KS drift gate
-// must flag genuinely shifted distributions while passing identical
-// ones.
+// Fleet mode: running many corpora on one pool must be invisible per
+// corpus — each corpus's analysis_json byte-identical to the serial
+// reference analysis of the same directory (merged events, serial
+// grouping, one-thread finalize) — and the KS drift gate must flag
+// genuinely shifted distributions while passing identical ones.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +17,7 @@
 #include "sdchecker/export.hpp"
 #include "sdchecker/fleet.hpp"
 #include "sdchecker/sdchecker.hpp"
+#include "serial_reference.hpp"
 #include "workloads/tpch.hpp"
 
 namespace sdc::checker {
@@ -39,6 +41,10 @@ logging::LogBundle make_corpus(int jobs, std::uint64_t seed) {
   return logs;
 }
 
+AnalysisResult serial_reference(const fs::path& dir) {
+  return serial_reference(LogMiner().mine_directory(dir));
+}
+
 /// Writes `count` distinct corpora under a fresh root; returns the root.
 fs::path write_fleet_root(const std::string& name, int count) {
   const fs::path root = fs::temp_directory_path() / name;
@@ -56,13 +62,11 @@ TEST(Fleet, PerCorpusJsonByteIdenticalToStandaloneAnalyze) {
   const fs::path root = write_fleet_root("sdc_fleet_parity", 3);
   FleetOptions options;
   options.threads = 4;
-  options.shards_per_corpus = 3;
   const FleetResult fleet = analyze_fleet(root, options);
   ASSERT_EQ(fleet.corpora.size(), 3u);
   for (const CorpusResult& corpus : fleet.corpora) {
     ASSERT_TRUE(corpus.error.empty()) << corpus.name << ": " << corpus.error;
-    const AnalysisResult standalone =
-        SdChecker().analyze_directory(corpus.dir);
+    const AnalysisResult standalone = serial_reference(corpus.dir);
     EXPECT_EQ(corpus.analysis_json, analysis_json(standalone)) << corpus.name;
     EXPECT_EQ(corpus.apps, standalone.timelines.size());
     EXPECT_EQ(corpus.events, standalone.events_total);
@@ -73,24 +77,22 @@ TEST(Fleet, PerCorpusJsonByteIdenticalToStandaloneAnalyze) {
 }
 
 TEST(Fleet, ThreadAndShardCountsDoNotChangeBytes) {
+  // Shards follow threads (min(threads, 8)), so this sweeps both.
   const fs::path root = write_fleet_root("sdc_fleet_shard_sweep", 2);
-  FleetOptions serial;
-  serial.threads = 1;
-  serial.shards_per_corpus = 1;
-  const FleetResult reference = analyze_fleet(root, serial);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{5}}) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{7}}) {
-      FleetOptions options;
-      options.threads = threads;
-      options.shards_per_corpus = shards;
-      const FleetResult fleet = analyze_fleet(root, options);
-      ASSERT_EQ(fleet.corpora.size(), reference.corpora.size());
-      for (std::size_t i = 0; i < fleet.corpora.size(); ++i) {
-        EXPECT_EQ(fleet.corpora[i].analysis_json,
-                  reference.corpora[i].analysis_json)
-            << "threads=" << threads << " shards=" << shards
-            << " corpus=" << fleet.corpora[i].name;
-      }
+  const std::vector<fs::path> corpora = discover_corpora(root);
+  std::vector<std::string> reference;
+  for (const fs::path& dir : corpora) {
+    reference.push_back(analysis_json(serial_reference(dir)));
+  }
+  for (const std::size_t threads : {1, 2, 5, 7}) {
+    FleetOptions options;
+    options.threads = threads;
+    const FleetResult fleet = analyze_fleet(corpora, options);
+    EXPECT_EQ(fleet.shards_per_corpus, std::min<std::size_t>(threads, 8));
+    ASSERT_EQ(fleet.corpora.size(), reference.size());
+    for (std::size_t i = 0; i < fleet.corpora.size(); ++i) {
+      EXPECT_EQ(fleet.corpora[i].analysis_json, reference[i])
+          << "threads=" << threads << " corpus=" << fleet.corpora[i].name;
     }
   }
   fs::remove_all(root);
@@ -122,9 +124,8 @@ TEST(Fleet, UnreadableCorpusBecomesErrorNotAbort) {
   EXPECT_FALSE(fleet.corpora[1].error.empty());
   EXPECT_EQ(fleet.failed(), 1u);
   // The good corpus is still byte-correct.
-  const AnalysisResult standalone =
-      SdChecker().analyze_directory(fleet.corpora[0].dir);
-  EXPECT_EQ(fleet.corpora[0].analysis_json, analysis_json(standalone));
+  EXPECT_EQ(fleet.corpora[0].analysis_json,
+            analysis_json(serial_reference(fleet.corpora[0].dir)));
   fs::remove_all(root);
 }
 

@@ -6,12 +6,14 @@
 // it.  The first test is the exact scenario that deadlocked under the
 // old blocking wait: a single-worker pool whose only worker issues an
 // inner `parallel_for`.  The stress tests run the corpus×shard shape on
-// a multi-worker pool and are part of the TSan CI job.
+// a multi-worker pool and are part of the TSan CI job; the one-thread
+// analysis runs on a `calling_thread` pool, pinned down here too.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
 
 #include "common/thread_pool.hpp"
 
@@ -31,6 +33,33 @@ TEST(ThreadPoolNested, InnerParallelForFromSingleWorkerCompletes) {
   });
   pool.wait_idle();
   EXPECT_EQ(sum.load(), 120);
+}
+
+TEST(ThreadPoolNested, CallingThreadPoolRunsEverythingOnTheWaiter) {
+  // No worker: submitted tasks, the tasks they submit and their nested
+  // parallel_for all run on the thread that waits, in wait_idle.
+  ThreadPool pool = ThreadPool::calling_thread();
+  EXPECT_EQ(pool.thread_count(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> sum{0};
+  std::atomic<int> elsewhere{0};
+  const auto note_thread = [&] {
+    if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+  };
+  pool.submit([&] {
+    note_thread();
+    pool.submit([&] {
+      note_thread();
+      parallel_for(pool, 16, [&](std::size_t i) {
+        note_thread();
+        sum.fetch_add(static_cast<int>(i), std::memory_order_relaxed);
+      });
+    });
+  });
+  EXPECT_EQ(sum.load(), 0);  // nothing runs before someone waits
+  pool.wait_idle();
+  EXPECT_EQ(sum.load(), 120);
+  EXPECT_EQ(elsewhere.load(), 0);
 }
 
 TEST(ThreadPoolNested, TwoLevelFanOutComputesEveryCell) {

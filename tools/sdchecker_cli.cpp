@@ -70,41 +70,32 @@ using namespace sdc;
 int usage() {
   std::fprintf(stderr,
                "usage:\n"
-               "  sdchecker analyze <log_dir> [--threads N] "
-               "[--analyze-shards N] [--csv FILE] [--per-app] [--progress]\n"
+               "  sdchecker analyze <log_dir> [--threads N] [--csv FILE] "
+               "[--per-app] [--progress]\n"
                "            [--delays-csv FILE] [--containers-csv FILE] "
                "[--events-csv FILE] [--json FILE]\n"
                "  sdchecker follow <log_dir> [--watch] [--interval S] "
                "[--poll-ms MS]\n"
                "            [--exit-quiescent N] [--max-polls N] "
                "[--json FILE] [--parked-cap N]\n"
-               "            [--retire-quiet N] [--no-retire] "
-               "[--analyze-shards N]\n"
+               "            [--retire-quiet N] [--no-retire]\n"
                "            [--serve [ADDR:PORT]] [--serve-stall-ms MS] "
                "[--stall-polls-after N]\n"
                "  sdchecker followcheck <watch_ndjson>\n"
                "  sdchecker trace <log_dir> [--out FILE] [--check] "
-               "[--threads N] [--analyze-shards N]\n"
+               "[--threads N]\n"
                "  sdchecker timeline <log_dir> <application_id>\n"
                "  sdchecker diff <log_dir_a> <log_dir_b> [--threshold PCT]\n"
-               "  sdchecker fleet <root_dir> [--threads N] [--shards N] "
-               "[--json FILE]\n"
+               "  sdchecker fleet <root_dir> [--threads N] [--json FILE]\n"
                "            [--out-dir DIR] [--baseline FILE]\n"
                "  sdchecker graph <log_dir> <application_id> [--out FILE]\n"
                "  sdchecker simulate <out_dir> [--jobs N] [--seed S] "
                "[--executors E]\n"
                "            [--input-mb MB] [--scheduler "
                "capacity|opportunistic]\n"
-               "  sdchecker fuzz <log_dir> [--seed S] [--class NAME] "
-               "[--analyze-shards N]\n"
-               "\n"
-               "analysis flags:\n"
-               "  --analyze-shards N  shard the post-mining analysis stage\n"
-               "                      across N threads (0 = one per hardware\n"
-               "                      thread; output is identical to serial)\n"
+               "  sdchecker fuzz <log_dir> [--seed S] [--class NAME]\n"
                "\n"
                "fleet flags:\n"
-               "  --shards N          grouping shards per corpus (0 = auto)\n"
                "  --out-dir DIR       write each corpus's analysis JSON to\n"
                "                      DIR/<name>.json (byte-identical to\n"
                "                      'analyze --json' of that corpus)\n"
@@ -184,23 +175,21 @@ std::optional<std::size_t> parse_count(const std::string& value) {
   return static_cast<std::size_t>(n);
 }
 
-/// Consumes `--analyze-shards N` (0 = auto); exits with a usage error via
-/// nullopt on a malformed count.  Returns the AnalyzeOptions value.
-std::optional<std::size_t> take_analyze_shards(
-    std::vector<std::string>& args) {
-  std::size_t shards = 1;
-  if (const auto s = flag_value(args, "--analyze-shards")) {
-    const auto parsed = parse_count(*s);
+/// Consumes `flag N` into `out` (left as is when absent); false, after
+/// printing why, when N is not a non-negative integer.
+bool take_count(std::vector<std::string>& args, const char* flag,
+                std::size_t& out) {
+  if (const auto v = flag_value(args, flag)) {
+    const auto parsed = parse_count(*v);
     if (!parsed) {
       std::fprintf(stderr,
-                   "sdchecker: --analyze-shards expects a non-negative "
-                   "integer, got '%s'\n",
-                   s->c_str());
-      return std::nullopt;
+                   "sdchecker: %s expects a non-negative integer, got '%s'\n",
+                   flag, v->c_str());
+      return false;
     }
-    shards = *parsed;
+    out = *parsed;
   }
-  return shards;
+  return true;
 }
 
 bool flag_present(std::vector<std::string>& args, const std::string& flag) {
@@ -320,11 +309,7 @@ void print_opt(const char* name, const std::optional<std::int64_t>& v) {
 
 int cmd_analyze(std::vector<std::string> args) {
   std::size_t threads = 1;
-  if (const auto t = flag_value(args, "--threads")) {
-    threads = static_cast<std::size_t>(std::strtoul(t->c_str(), nullptr, 10));
-  }
-  const auto analyze_shards = take_analyze_shards(args);
-  if (!analyze_shards) return usage();
+  if (!take_count(args, "--threads", threads)) return usage();
   const auto csv = flag_value(args, "--csv");
   const auto delays_csv_path = flag_value(args, "--delays-csv");
   const auto containers_csv_path = flag_value(args, "--containers-csv");
@@ -334,13 +319,12 @@ int cmd_analyze(std::vector<std::string> args) {
   const bool progress = flag_present(args, "--progress");
   const auto positionals =
       finish_args(std::move(args), {"log_dir"},
-                  {"--threads", "--analyze-shards", "--csv", "--delays-csv",
-                   "--containers-csv", "--events-csv", "--json"});
+                  {"--threads", "--csv", "--delays-csv", "--containers-csv",
+                   "--events-csv", "--json"});
   if (!positionals) return usage();
   const std::string& dir = (*positionals)[0];
 
-  checker::SdChecker sdchecker({.threads = std::max<std::size_t>(1, threads),
-                                .analyze_shards = *analyze_shards});
+  checker::SdChecker sdchecker({.threads = std::max<std::size_t>(1, threads)});
   checker::AnalysisResult analysis;
   try {
     std::optional<ProgressReporter> reporter;
@@ -463,8 +447,6 @@ bool parse_serve_address(const std::string& address,
 }
 
 int cmd_follow(std::vector<std::string> args) {
-  const auto analyze_shards = take_analyze_shards(args);
-  if (!analyze_shards) return usage();
   const bool watch = flag_present(args, "--watch");
   const bool no_retire = flag_present(args, "--no-retire");
   double interval_s = 2.0;
@@ -476,29 +458,15 @@ int cmd_follow(std::vector<std::string> args) {
   std::size_t max_polls = 0;
   std::size_t parked_cap = checker::MinerOptions{}.parked_events_cap;
   std::size_t retire_quiet = 2;
-  const auto take_count = [&args](const char* flag, std::size_t& out) {
-    if (const auto v = flag_value(args, flag)) {
-      const auto parsed = parse_count(*v);
-      if (!parsed) {
-        std::fprintf(stderr,
-                     "sdchecker: %s expects a non-negative integer, got "
-                     "'%s'\n",
-                     flag, v->c_str());
-        return false;
-      }
-      out = *parsed;
-    }
-    return true;
-  };
   std::size_t serve_stall_ms = 10000;
   std::size_t stall_polls_after = 0;
-  if (!take_count("--poll-ms", poll_ms) ||
-      !take_count("--exit-quiescent", exit_quiescent) ||
-      !take_count("--max-polls", max_polls) ||
-      !take_count("--parked-cap", parked_cap) ||
-      !take_count("--retire-quiet", retire_quiet) ||
-      !take_count("--serve-stall-ms", serve_stall_ms) ||
-      !take_count("--stall-polls-after", stall_polls_after)) {
+  if (!take_count(args, "--poll-ms", poll_ms) ||
+      !take_count(args, "--exit-quiescent", exit_quiescent) ||
+      !take_count(args, "--max-polls", max_polls) ||
+      !take_count(args, "--parked-cap", parked_cap) ||
+      !take_count(args, "--retire-quiet", retire_quiet) ||
+      !take_count(args, "--serve-stall-ms", serve_stall_ms) ||
+      !take_count(args, "--stall-polls-after", stall_polls_after)) {
     return usage();
   }
   const auto serve_address =
@@ -513,8 +481,8 @@ int cmd_follow(std::vector<std::string> args) {
   const auto positionals = finish_args(
       std::move(args), {"log_dir"},
       {"--interval", "--poll-ms", "--exit-quiescent", "--max-polls",
-       "--json", "--parked-cap", "--retire-quiet", "--analyze-shards",
-       "--serve", "--serve-stall-ms", "--stall-polls-after"});
+       "--json", "--parked-cap", "--retire-quiet", "--serve",
+       "--serve-stall-ms", "--stall-polls-after"});
   if (!positionals) return usage();
   const std::string& dir = (*positionals)[0];
   if (!std::filesystem::is_directory(dir)) {
@@ -523,7 +491,6 @@ int cmd_follow(std::vector<std::string> args) {
   }
 
   checker::FollowOptions options;
-  options.analyze_shards = *analyze_shards;
   options.miner.parked_events_cap = parked_cap;
   options.retire_quiet_polls = retire_quiet;
   options.retire = !no_retire;
@@ -693,20 +660,15 @@ int cmd_followcheck(std::vector<std::string> args) {
 
 int cmd_trace(std::vector<std::string> args) {
   std::size_t threads = 1;
-  if (const auto t = flag_value(args, "--threads")) {
-    threads = static_cast<std::size_t>(std::strtoul(t->c_str(), nullptr, 10));
-  }
-  const auto analyze_shards = take_analyze_shards(args);
-  if (!analyze_shards) return usage();
+  if (!take_count(args, "--threads", threads)) return usage();
   const auto out_flag = flag_value(args, "--out");
   const bool check = flag_present(args, "--check");
   const auto positionals = finish_args(
-      std::move(args), {"log_dir"}, {"--threads", "--analyze-shards", "--out"});
+      std::move(args), {"log_dir"}, {"--threads", "--out"});
   if (!positionals) return usage();
   const std::string out_path = out_flag.value_or("app.trace.json");
 
-  checker::SdChecker sdchecker({.threads = std::max<std::size_t>(1, threads),
-                                .analyze_shards = *analyze_shards});
+  checker::SdChecker sdchecker({.threads = std::max<std::size_t>(1, threads)});
   checker::AnalysisResult analysis;
   try {
     analysis = sdchecker.analyze_directory((*positionals)[0]);
@@ -834,34 +796,13 @@ int cmd_diff(std::vector<std::string> args) {
 
 int cmd_fleet(std::vector<std::string> args) {
   checker::FleetOptions options;
-  if (const auto t = flag_value(args, "--threads")) {
-    const auto parsed = parse_count(*t);
-    if (!parsed) {
-      std::fprintf(stderr,
-                   "sdchecker: --threads expects a non-negative integer, "
-                   "got '%s'\n",
-                   t->c_str());
-      return usage();
-    }
-    options.threads = *parsed;
-  }
-  if (const auto s = flag_value(args, "--shards")) {
-    const auto parsed = parse_count(*s);
-    if (!parsed) {
-      std::fprintf(stderr,
-                   "sdchecker: --shards expects a non-negative integer, "
-                   "got '%s'\n",
-                   s->c_str());
-      return usage();
-    }
-    options.shards_per_corpus = *parsed;
-  }
+  if (!take_count(args, "--threads", options.threads)) return usage();
   const auto json_path = flag_value(args, "--json");
   const auto out_dir = flag_value(args, "--out-dir");
   const auto baseline_path = flag_value(args, "--baseline");
   const auto positionals = finish_args(
       std::move(args), {"root_dir"},
-      {"--threads", "--shards", "--json", "--out-dir", "--baseline"});
+      {"--threads", "--json", "--out-dir", "--baseline"});
   if (!positionals) return usage();
 
   checker::FleetResult fleet;
@@ -1063,11 +1004,8 @@ int cmd_fuzz(std::vector<std::string> args) {
     classes.push_back(*cls);
   }
   if (classes.empty()) classes = checker::all_mutation_classes();
-  const auto analyze_shards = take_analyze_shards(args);
-  if (!analyze_shards) return usage();
-  const auto positionals = finish_args(std::move(args), {"log_dir"},
-                                       {"--seed", "--class",
-                                        "--analyze-shards"});
+  const auto positionals =
+      finish_args(std::move(args), {"log_dir"}, {"--seed", "--class"});
   if (!positionals) return usage();
 
   logging::LogBundle base;
@@ -1077,9 +1015,7 @@ int cmd_fuzz(std::vector<std::string> args) {
     std::fprintf(stderr, "sdchecker: %s\n", e.what());
     return 1;
   }
-  checker::AnalyzeOptions options;
-  options.analyze_shards = *analyze_shards;
-  const auto results = checker::fuzz_corpus(base, seed, classes, options);
+  const auto results = checker::fuzz_corpus(base, seed, classes);
   std::printf("%s", checker::render_fuzz_report(results).c_str());
   for (const auto& result : results) {
     if (!result.ok) {
