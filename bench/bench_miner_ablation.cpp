@@ -7,17 +7,16 @@
 //     baseline to justify the hand-rolled parser)
 //   * discrete-event engine throughput (the simulator's own cost)
 //   * per-stage hot-path kernels — the mining pipeline decomposed into
-//     scan (newline split, per SWAR/SIMD backend), parse, pre-filter,
-//     extract and merge, so a regression localizes to one stage
-#include <algorithm>
+//     scan (newline split), parse, pre-filter, extract and merge, so a
+//     regression localizes to one stage
 #include <memory>
 #include <regex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/interner.hpp"
-#include "common/simd.hpp"
 #include "logging/log_view.hpp"
 #include "sdchecker/extractor.hpp"
 #include "sdchecker/miner.hpp"
@@ -38,8 +37,8 @@ const logging::LogBundle& big_bundle() {
   return bundle;
 }
 
-/// The whole corpus as one newline-joined buffer — what `split_buffer`
-/// sees after mmap.
+/// The whole corpus as one newline-joined buffer — what `split_lines`
+/// sees after a directory read.
 const std::string& flat_text() {
   static const std::string text = [] {
     std::string out;
@@ -98,32 +97,19 @@ BENCHMARK(BM_MineThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMill
 // `BM_MineThreads` localizes to scan, parse, pre-filter, extract or merge.
 
 void BM_ScanStage(benchmark::State& state) {
-  // Newline split over the flattened corpus — the `split_buffer` kernel —
-  // under one scan backend (arg = ScanBackend enumerator).
-  const auto backend = static_cast<simd::ScanBackend>(state.range(0));
-  const auto available = simd::available_scan_backends();
-  if (std::find(available.begin(), available.end(), backend) ==
-      available.end()) {
-    state.SkipWithError("backend not available on this host");
-    return;
-  }
+  // Line split over the flattened corpus — the `split_lines` kernel every
+  // reader shares, on the compiled scanner.
   const std::string& text = flat_text();
+  std::vector<std::string_view> lines;
   for (auto _ : state) {
-    std::size_t lines = 0;
-    for (std::size_t at = simd::find_byte(text, '\n', 0, backend);
-         at != std::string_view::npos;
-         at = simd::find_byte(text, '\n', at + 1, backend)) {
-      ++lines;
-    }
-    benchmark::DoNotOptimize(lines);
+    lines.clear();
+    benchmark::DoNotOptimize(logging::split_lines(text, lines));
   }
-  state.SetLabel(std::string(simd::scan_backend_name(backend)));
   state.counters["bytes/s"] = benchmark::Counter(
       static_cast<double>(text.size() * state.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ScanStage)->Arg(0)->Arg(1)->Arg(2)->Arg(3)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScanStage)->Unit(benchmark::kMillisecond);
 
 void BM_ParseStage(benchmark::State& state) {
   // Line parse (timestamp + level + class + message) over the whole

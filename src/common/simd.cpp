@@ -1,100 +1,36 @@
 #include "common/simd.hpp"
 
-#include <atomic>
-#include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <vector>
-
 #if !defined(SDC_DISABLE_SIMD) && (defined(__x86_64__) || defined(_M_X64))
-#define SDC_SCAN_X86 1
-#include <immintrin.h>
+#define SDC_SCAN_SSE2 1
+#include <emmintrin.h>
 #else
-#define SDC_SCAN_X86 0
+#define SDC_SCAN_SSE2 0
 #endif
 
 namespace sdc::simd {
-namespace {
 
-// --- scalar (reference) -----------------------------------------------------
-
-std::size_t find_scalar(const char* data, std::size_t size, char needle,
-                        std::size_t from) {
-  for (std::size_t i = from; i < size; ++i) {
-    if (data[i] == needle) return i;
+std::size_t find_byte_scalar(std::string_view text, char needle,
+                             std::size_t from) {
+  for (std::size_t i = from; i < text.size(); ++i) {
+    if (text[i] == needle) return i;
   }
   return std::string_view::npos;
 }
 
-std::size_t count_scalar(const char* data, std::size_t size, char needle) {
+std::size_t count_byte_scalar(std::string_view text, char needle) {
   std::size_t n = 0;
-  for (std::size_t i = 0; i < size; ++i) n += data[i] == needle;
+  for (const char c : text) n += c == needle;
   return n;
 }
 
-#if !defined(SDC_DISABLE_SIMD)
+#if SDC_SCAN_SSE2
 
-// --- SWAR: 8 bytes per step on plain integer loads --------------------------
-
-constexpr std::uint64_t kOnes = 0x0101010101010101ull;
-constexpr std::uint64_t kHighs = 0x8080808080808080ull;
-
-/// 0x80 in every byte of `v` that is zero, 0 elsewhere (Mycroft's
-/// has-zero-byte trick; exact because the high bit of a non-zero byte
-/// can only survive the subtract when the byte was >= 0x80, and those
-/// are cleared by `~v`... the classic formulation below has no false
-/// positives for equality scans because we only ask "is there any zero
-/// byte", never "which bytes are non-zero").
-constexpr std::uint64_t zero_bytes(std::uint64_t v) {
-  return (v - kOnes) & ~v & kHighs;
-}
-
-std::uint64_t load_u64(const char* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-std::size_t find_swar(const char* data, std::size_t size, char needle,
-                      std::size_t from) {
-  const std::uint64_t pattern =
-      kOnes * static_cast<std::uint8_t>(needle);
-  std::size_t i = from;
-  while (i + 8 <= size) {
-    const std::uint64_t hit = zero_bytes(load_u64(data + i) ^ pattern);
-    if (hit != 0) {
-      // Little-endian: lowest set 0x80 marks the first matching byte.
-      return i + static_cast<std::size_t>(__builtin_ctzll(hit)) / 8;
-    }
-    i += 8;
-  }
-  return find_scalar(data, size, needle, i);
-}
-
-std::size_t count_swar(const char* data, std::size_t size, char needle) {
-  const std::uint64_t pattern =
-      kOnes * static_cast<std::uint8_t>(needle);
-  std::size_t n = 0;
-  std::size_t i = 0;
-  while (i + 8 <= size) {
-    n += static_cast<std::size_t>(
-        __builtin_popcountll(zero_bytes(load_u64(data + i) ^ pattern)));
-    i += 8;
-  }
-  return n + count_scalar(data + i, size - i, needle);
-}
-
-#endif  // !SDC_DISABLE_SIMD
-
-#if SDC_SCAN_X86
-
-// --- SSE2: 16 bytes per step (x86-64 baseline) ------------------------------
-
-std::size_t find_sse2(const char* data, std::size_t size, char needle,
-                      std::size_t from) {
+std::size_t find_byte(std::string_view text, char needle, std::size_t from) {
+  if (from >= text.size()) return std::string_view::npos;
+  const char* data = text.data();
   const __m128i pattern = _mm_set1_epi8(needle);
   std::size_t i = from;
-  while (i + 16 <= size) {
+  while (i + 16 <= text.size()) {
     const __m128i block =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
     const int mask = _mm_movemask_epi8(_mm_cmpeq_epi8(block, pattern));
@@ -104,187 +40,34 @@ std::size_t find_sse2(const char* data, std::size_t size, char needle,
     }
     i += 16;
   }
-  return find_scalar(data, size, needle, i);
+  return find_byte_scalar(text, needle, i);
 }
 
-std::size_t count_sse2(const char* data, std::size_t size, char needle) {
+std::size_t count_byte(std::string_view text, char needle) {
+  const char* data = text.data();
   const __m128i pattern = _mm_set1_epi8(needle);
   std::size_t n = 0;
   std::size_t i = 0;
-  while (i + 16 <= size) {
+  while (i + 16 <= text.size()) {
     const __m128i block =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
     n += static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(
         _mm_movemask_epi8(_mm_cmpeq_epi8(block, pattern)))));
     i += 16;
   }
-  return n + count_scalar(data + i, size - i, needle);
+  return n + count_byte_scalar(text.substr(i), needle);
 }
 
-// --- AVX2: 32 bytes per step, gated on runtime CPU support ------------------
-
-__attribute__((target("avx2"))) std::size_t find_avx2(const char* data,
-                                                      std::size_t size,
-                                                      char needle,
-                                                      std::size_t from) {
-  const __m256i pattern = _mm256_set1_epi8(needle);
-  std::size_t i = from;
-  while (i + 32 <= size) {
-    const __m256i block =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i));
-    const unsigned mask = static_cast<unsigned>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(block, pattern)));
-    if (mask != 0) {
-      return i + static_cast<std::size_t>(__builtin_ctz(mask));
-    }
-    i += 32;
-  }
-  return find_scalar(data, size, needle, i);
-}
-
-__attribute__((target("avx2"))) std::size_t count_avx2(const char* data,
-                                                       std::size_t size,
-                                                       char needle) {
-  const __m256i pattern = _mm256_set1_epi8(needle);
-  std::size_t n = 0;
-  std::size_t i = 0;
-  while (i + 32 <= size) {
-    const __m256i block =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i));
-    n += static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(block, pattern)))));
-    i += 32;
-  }
-  return n + count_scalar(data + i, size - i, needle);
-}
-
-bool cpu_has_avx2() { return __builtin_cpu_supports("avx2") != 0; }
-
-#endif  // SDC_SCAN_X86
-
-// --- dispatch ---------------------------------------------------------------
-
-const std::vector<ScanBackend>& available_backends() {
-  static const std::vector<ScanBackend> kAvailable = [] {
-    std::vector<ScanBackend> out{ScanBackend::kScalar};
-#if !defined(SDC_DISABLE_SIMD)
-    out.push_back(ScanBackend::kSwar);
-#endif
-#if SDC_SCAN_X86
-    out.push_back(ScanBackend::kSse2);
-    if (cpu_has_avx2()) out.push_back(ScanBackend::kAvx2);
-#endif
-    return out;
-  }();
-  return kAvailable;
-}
-
-std::atomic<ScanBackend>& active_backend_slot() {
-  static std::atomic<ScanBackend> active = [] {
-    ScanBackend chosen = available_backends().back();
-    if (const char* env = std::getenv("SDC_SCAN_BACKEND")) {
-      ScanBackend named;
-      if (scan_backend_from_name(env, named)) {
-        for (const ScanBackend candidate : available_backends()) {
-          if (candidate == named) chosen = named;
-        }
-      }
-    }
-    return chosen;
-  }();
-  return active;
-}
-
-}  // namespace
-
-std::string_view scan_backend_name(ScanBackend backend) {
-  switch (backend) {
-    case ScanBackend::kScalar:
-      return "scalar";
-    case ScanBackend::kSwar:
-      return "swar";
-    case ScanBackend::kSse2:
-      return "sse2";
-    case ScanBackend::kAvx2:
-      return "avx2";
-  }
-  return "?";
-}
-
-bool scan_backend_from_name(std::string_view name, ScanBackend& out) {
-  for (const ScanBackend backend :
-       {ScanBackend::kScalar, ScanBackend::kSwar, ScanBackend::kSse2,
-        ScanBackend::kAvx2}) {
-    if (scan_backend_name(backend) == name) {
-      out = backend;
-      return true;
-    }
-  }
-  return false;
-}
-
-std::span<const ScanBackend> available_scan_backends() {
-  return available_backends();
-}
-
-ScanBackend active_scan_backend() {
-  return active_backend_slot().load(std::memory_order_relaxed);
-}
-
-bool set_scan_backend(ScanBackend backend) {
-  for (const ScanBackend candidate : available_backends()) {
-    if (candidate == backend) {
-      active_backend_slot().store(backend, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-std::size_t find_byte(std::string_view text, char needle, std::size_t from,
-                      ScanBackend backend) {
-  if (from >= text.size()) return std::string_view::npos;
-  switch (backend) {
-#if !defined(SDC_DISABLE_SIMD)
-    case ScanBackend::kSwar:
-      return find_swar(text.data(), text.size(), needle, from);
-#endif
-#if SDC_SCAN_X86
-    case ScanBackend::kSse2:
-      return find_sse2(text.data(), text.size(), needle, from);
-    case ScanBackend::kAvx2:
-      return find_avx2(text.data(), text.size(), needle, from);
-#endif
-    default:
-      return find_scalar(text.data(), text.size(), needle, from);
-  }
-}
+#else  // !SDC_SCAN_SSE2
 
 std::size_t find_byte(std::string_view text, char needle, std::size_t from) {
-  return find_byte(text, needle, from, active_scan_backend());
-}
-
-std::size_t count_byte(std::string_view text, char needle,
-                       ScanBackend backend) {
-  if (text.empty()) return 0;
-  switch (backend) {
-#if !defined(SDC_DISABLE_SIMD)
-    case ScanBackend::kSwar:
-      return count_swar(text.data(), text.size(), needle);
-#endif
-#if SDC_SCAN_X86
-    case ScanBackend::kSse2:
-      return count_sse2(text.data(), text.size(), needle);
-    case ScanBackend::kAvx2:
-      return count_avx2(text.data(), text.size(), needle);
-#endif
-    default:
-      return count_scalar(text.data(), text.size(), needle);
-  }
+  return find_byte_scalar(text, needle, from);
 }
 
 std::size_t count_byte(std::string_view text, char needle) {
-  return count_byte(text, needle, active_scan_backend());
+  return count_byte_scalar(text, needle);
 }
+
+#endif  // SDC_SCAN_SSE2
 
 }  // namespace sdc::simd

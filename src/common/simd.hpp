@@ -1,74 +1,36 @@
 // Vectorized byte scanning for the mining hot path.
 //
 // The miner's inner loops are byte hunts: newline splitting in
-// `LogView`, the "': '" logger/message separator in `parse_line`, and
-// the newline census that sizes the line-slice vector.  This header
-// provides `memchr`-style primitives with four backends behind one
-// runtime dispatch:
-//
-//   kScalar  byte-at-a-time reference loop (always available; the
-//            semantics the others must reproduce bit for bit)
-//   kSwar    8-byte broadcast-compare on plain uint64 loads — portable
-//            C++, no intrinsics ("SIMD within a register")
-//   kSse2    16-byte _mm_cmpeq_epi8/_mm_movemask_epi8 (x86-64 baseline)
-//   kAvx2    32-byte vpcmpeqb, compiled with a target attribute and
-//            selected only when the CPU reports AVX2
-//
-// The active backend defaults to the best one compiled in and supported
-// by the running CPU; tests and the ablation bench override it with
-// `set_scan_backend` or the `SDC_SCAN_BACKEND` env var
-// (scalar|swar|sse2|avx2).  Building with -DSDC_DISABLE_SIMD=ON removes
-// every backend but kScalar — the scalar-fallback CI job proves the
+// `logging::split_lines`, the "': '" logger/message separator in
+// `parse_line`, and the newline census that sizes the line-slice vector.
+// This header provides `memchr`-style primitives whose kernel is chosen
+// at compile time: 16-byte SSE2 compares on x86-64 (the ISA baseline, so
+// no runtime CPU check), the byte-at-a-time loop everywhere else and
+// under -DSDC_DISABLE_SIMD=ON — the scalar-fallback CI job proves that
 // portable path carries the full suite.
 //
-// All backends read only bytes inside [data, data+size): vector loops
-// cover whole blocks and hand the tail to the scalar loop, so the
-// primitives are ASan-clean on mmap'd buffers that end mid-page.
+// The scalar loop is also exported as `*_scalar`: the reference the
+// compiled kernel must reproduce bit for bit (tests/scan_backend_test).
+// The vector loop covers whole blocks and hands the tail to the scalar
+// loop, so it reads only bytes inside [data, data+size) and is
+// ASan-clean on buffers that end mid-page.
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string_view>
 
 namespace sdc::simd {
 
-enum class ScanBackend {
-  kScalar = 0,
-  kSwar = 1,
-  kSse2 = 2,
-  kAvx2 = 3,
-};
-
-/// Short stable name ("scalar", "swar", "sse2", "avx2").
-std::string_view scan_backend_name(ScanBackend backend);
-
-/// Inverse of scan_backend_name; nullopt-like: returns false on unknown
-/// names and leaves `out` untouched.
-bool scan_backend_from_name(std::string_view name, ScanBackend& out);
-
-/// Backends compiled into this binary and usable on this CPU, in
-/// ascending preference order (best last).  Always contains kScalar.
-std::span<const ScanBackend> available_scan_backends();
-
-/// The backend the default entry points dispatch to.  Initialized once
-/// to the best available backend, or to $SDC_SCAN_BACKEND when that
-/// names an available one.
-ScanBackend active_scan_backend();
-
-/// Overrides the active backend (tests, ablation).  Returns false —
-/// leaving the active backend unchanged — when `backend` is not in
-/// `available_scan_backends()`.
-bool set_scan_backend(ScanBackend backend);
-
 /// Index of the first `needle` at or after `from`, or std::string_view::npos.
 std::size_t find_byte(std::string_view text, char needle,
                       std::size_t from = 0);
-std::size_t find_byte(std::string_view text, char needle, std::size_t from,
-                      ScanBackend backend);
 
 /// Number of occurrences of `needle` in `text`.
 std::size_t count_byte(std::string_view text, char needle);
-std::size_t count_byte(std::string_view text, char needle,
-                       ScanBackend backend);
+
+/// The scalar reference loops the compiled kernel is tested against.
+std::size_t find_byte_scalar(std::string_view text, char needle,
+                             std::size_t from = 0);
+std::size_t count_byte_scalar(std::string_view text, char needle);
 
 }  // namespace sdc::simd

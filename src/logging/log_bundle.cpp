@@ -1,8 +1,9 @@
 #include "logging/log_bundle.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <stdexcept>
+
+#include "logging/log_view.hpp"
 
 namespace sdc::logging {
 
@@ -47,34 +48,11 @@ void LogBundle::write_to_directory(const std::filesystem::path& dir) const {
 
 LogBundle LogBundle::read_from_directory(const std::filesystem::path& dir,
                                          std::vector<Diagnostic>* diagnostics) {
-  if (!std::filesystem::is_directory(dir)) {
-    throw std::runtime_error("LogBundle: not a directory: " + dir.string());
-  }
+  const BundleView view = BundleView::read_from_directory(dir, diagnostics);
   LogBundle bundle;
-  std::vector<std::filesystem::path> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.is_regular_file()) files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());
-  for (const auto& path : files) {
-    std::ifstream in(path);
-    if (!in) {
-      if (diagnostics == nullptr) {
-        throw std::runtime_error("LogBundle: cannot read " + path.string());
-      }
-      diagnostics->push_back(Diagnostic{DiagnosticKind::kUnreadableFile,
-                                        path.filename().string(), 0, 1,
-                                        "cannot open for reading; skipped"});
-      continue;
-    }
-    std::string line;
-    auto& stream = bundle.streams_[path.filename().string()];
-    while (std::getline(in, line)) {
-      // getline keeps the '\r' of CRLF-terminated logs (files collected
-      // from Windows gateways); strip it so parsing sees clean lines.
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      stream.push_back(line);
-    }
+  for (const std::string& name : view.stream_names()) {
+    const auto& lines = view.stream(name).lines();
+    bundle.streams_[name].assign(lines.begin(), lines.end());
   }
   return bundle;
 }

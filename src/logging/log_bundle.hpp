@@ -42,11 +42,9 @@ class LogBundle {
   /// Throws std::runtime_error on I/O failure.
   void write_to_directory(const std::filesystem::path& dir) const;
 
-  /// Reads every regular file in `dir` (non-recursive) as one stream per
-  /// file.  Throws std::runtime_error if `dir` is not a directory.  With
-  /// `diagnostics`, an unreadable file is recorded as a kUnreadableFile
-  /// diagnostic and skipped; without it, the first unreadable file throws
-  /// (the historical strict behaviour).
+  /// Reads `dir` through `BundleView::read_from_directory` (same line
+  /// splitting, same unreadable-file rule and wording) and copies the
+  /// lines, for callers that mutate them.
   static LogBundle read_from_directory(const std::filesystem::path& dir,
                                        std::vector<Diagnostic>* diagnostics =
                                            nullptr);

@@ -1,112 +1,130 @@
 #include "logging/log_view.hpp"
 
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
-
-#include "common/simd.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define SDC_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
+
+#include <cerrno>
+#include <new>
+#include <stdexcept>
+#include <utility>
+
+#include "common/simd.hpp"
 
 namespace sdc::logging {
 
 namespace {
 
-std::string_view strip_cr(std::string_view line) {
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  return line;
-}
-
-#if SDC_HAVE_MMAP
-/// RAII owner for an mmapped region, held via shared_ptr<const void>.
-struct Mapping {
-  void* data = nullptr;
-  std::size_t len = 0;
-  ~Mapping() {
-    if (data != nullptr && len > 0) ::munmap(data, len);
+/// Backing store of one directory read: the files' bytes packed into
+/// large anonymous mappings, unmapped together when the last view of the
+/// corpus lets go.  Mapped rather than heap-allocated so the memory goes
+/// back to the system at once instead of staying in the allocator.
+class SlabStore {
+ public:
+  SlabStore() = default;
+  SlabStore(const SlabStore&) = delete;
+  SlabStore& operator=(const SlabStore&) = delete;
+  ~SlabStore() {
+    for (const auto& [data, len] : slabs_) ::munmap(data, len);
   }
-};
-#endif
 
-std::string read_whole_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  /// `size` writable bytes; a request larger than a slab gets its own.
+  char* allocate(std::size_t size) {
+    if (size > kSlabBytes) return map(size);
+    if (size > free_) {
+      next_ = map(kSlabBytes);
+      free_ = kSlabBytes;
+    }
+    char* out = next_;
+    next_ += size;
+    free_ -= size;
+    return out;
+  }
+
+ private:
+  static constexpr std::size_t kSlabBytes = std::size_t{4} << 20;
+
+  char* map(std::size_t len) {
+    void* data = ::mmap(nullptr, len, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (data == MAP_FAILED) throw std::bad_alloc();
+    slabs_.emplace_back(static_cast<char*>(data), len);
+    return static_cast<char*>(data);
+  }
+
+  std::vector<std::pair<char*, std::size_t>> slabs_;
+  char* next_ = nullptr;
+  std::size_t free_ = 0;
+};
+
+struct ScopedFd {
+  int fd;
+  ~ScopedFd() { ::close(fd); }
+};
+
+/// Reads the whole file into `store`.  Bytes appended after the `fstat`
+/// are left for the next read; a file that shrank mid-read yields what
+/// was left.
+std::string_view read_file(SlabStore& store,
+                           const std::filesystem::path& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     throw std::runtime_error("LogView: cannot read " + path.string());
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return std::move(buf).str();
+  const ScopedFd close_fd{fd};
+  struct ::stat st{};
+  if (::fstat(fd, &st) != 0) {
+    throw std::runtime_error("LogView: cannot read " + path.string());
+  }
+  if (st.st_size <= 0) return {};
+  const auto size = static_cast<std::size_t>(st.st_size);
+  char* data = store.allocate(size);
+  return {data, pread_full(fd, data, size, 0)};
 }
 
 }  // namespace
 
-void LogView::split_buffer(std::string_view text) {
-  const simd::ScanBackend backend = simd::active_scan_backend();
-  bytes_ = text.size();
-  lines_.clear();
-  lines_.reserve(simd::count_byte(text, '\n', backend) + 1);
+std::size_t split_lines(std::string_view text,
+                        std::vector<std::string_view>& lines) {
   std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t nl = simd::find_byte(text, '\n', start, backend);
-    if (nl == std::string_view::npos) {
-      // Final unterminated line (if any bytes remain).
-      if (start < text.size()) {
-        lines_.push_back(strip_cr(text.substr(start)));
-      }
-      break;
-    }
-    lines_.push_back(strip_cr(text.substr(start, nl - start)));
+  for (std::size_t nl = simd::find_byte(text, '\n');
+       nl != std::string_view::npos; nl = simd::find_byte(text, '\n', start)) {
+    lines.push_back(strip_cr(text.substr(start, nl - start)));
     start = nl + 1;
   }
+  return start;
 }
 
-LogView LogView::from_file(const std::filesystem::path& path) {
-#if SDC_HAVE_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    struct stat st{};
-    if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
-      const auto len = static_cast<std::size_t>(st.st_size);
-      if (len == 0) {
-        ::close(fd);
-        return LogView{};
-      }
-      void* data = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
-      ::close(fd);
-      if (data != MAP_FAILED) {
-#if defined(MADV_SEQUENTIAL)
-        ::madvise(data, len, MADV_SEQUENTIAL);
-#endif
-        auto mapping = std::make_shared<Mapping>();
-        mapping->data = data;
-        mapping->len = len;
-        LogView view;
-        view.owner_ = mapping;
-        view.split_buffer(
-            std::string_view(static_cast<const char*>(data), len));
-        return view;
-      }
-    } else {
-      ::close(fd);
+std::size_t pread_full(int fd, char* out, std::size_t size,
+                       std::uintmax_t offset) {
+  std::size_t got = 0;
+  while (got < size) {
+    const ::ssize_t n = ::pread(fd, out + got, size - got,
+                                static_cast<::off_t>(offset + got));
+    if (n > 0) {
+      got += static_cast<std::size_t>(n);
+    } else if (n == 0 || errno != EINTR) {
+      break;
     }
   }
-  // Fall through to the portable bulk-read path on any mmap failure.
-#endif
-  return from_buffer(read_whole_file(path));
+  return got;
+}
+
+LogView::LogView(std::shared_ptr<const void> owner, std::string_view text)
+    : owner_(std::move(owner)), bytes_(text.size()) {
+  if (text.empty()) return;
+  lines_.reserve(simd::count_byte(text, '\n') + 1);
+  const std::size_t consumed = split_lines(text, lines_);
+  if (consumed < text.size()) {
+    lines_.push_back(strip_cr(text.substr(consumed)));
+  }
 }
 
 LogView LogView::from_buffer(std::string text) {
-  auto owned = std::make_shared<std::string>(std::move(text));
-  LogView view;
-  view.owner_ = owned;
-  view.split_buffer(*owned);
-  return view;
+  auto owned = std::make_shared<const std::string>(std::move(text));
+  const std::string_view bytes = *owned;
+  return LogView(std::move(owned), bytes);
 }
 
 LogView LogView::from_lines(const std::vector<std::string>& lines) {
@@ -124,12 +142,13 @@ BundleView BundleView::read_from_directory(const std::filesystem::path& dir,
   if (!std::filesystem::is_directory(dir)) {
     throw std::runtime_error("BundleView: not a directory: " + dir.string());
   }
+  const auto store = std::make_shared<SlabStore>();
   BundleView bundle;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (!entry.is_regular_file()) continue;
     try {
       bundle.streams_.emplace(entry.path().filename().string(),
-                              LogView::from_file(entry.path()));
+                              LogView(store, read_file(*store, entry.path())));
     } catch (const std::exception& e) {
       if (diagnostics == nullptr) throw;
       diagnostics->push_back(Diagnostic{DiagnosticKind::kUnreadableFile,
@@ -146,10 +165,6 @@ BundleView BundleView::from_bundle(const LogBundle& bundle) {
     view.streams_.emplace(name, LogView::from_lines(bundle.lines(name)));
   }
   return view;
-}
-
-void BundleView::add_stream(const std::string& name, LogView view) {
-  streams_[name] = std::move(view);
 }
 
 std::vector<std::string> BundleView::stream_names() const {

@@ -1,20 +1,26 @@
-// Zero-copy read path for the log miner.
+// The one read path from log-file bytes to lines.
 //
-// A `LogView` holds one log stream as a single contiguous byte buffer
-// plus `std::string_view` line slices into it — no per-line
-// `std::string` allocations.  File-backed views mmap the file when the
-// platform allows it (falling back to one bulk read), so mining a
-// multi-GB RM log touches each byte exactly once and the page cache does
-// the rest.  A `BundleView` names a set of streams, mirroring
-// `LogBundle`, and can adapt an in-memory bundle without copying its
-// lines (the bundle must outlive the view).
+// `BundleView::read_from_directory` reads every regular file of a corpus
+// once (`open` + `fstat` + a `pread_full` loop) into a per-corpus store
+// of large anonymous slabs.  A `LogView` holds one stream as
+// `std::string_view` line slices into that store — no per-line or
+// per-file allocation — and every view of the corpus shares the store,
+// so dropping the corpus hands back a few slabs.  The bytes are the
+// corpus's own copy: a file truncated or rewritten after the read (a
+// copytruncate rotation of a live log) cannot fault the mine.  A
+// `BundleView` names a set of streams, mirroring `LogBundle`, and can
+// adapt an in-memory bundle without copying its lines (the bundle must
+// outlive the view).
 //
-// Line splitting matches `std::getline` + CRLF hygiene: lines are split
-// on '\n', a trailing '\r' is stripped (Windows-collected logs), and a
-// final unterminated line still counts.
+// One splitter cuts lines for every reader — these views, the follow
+// tail and the fuzz streaming replay: `split_lines` splits on '\n' and
+// strips one trailing '\r' (Windows-collected logs).  A final
+// unterminated line is the caller's: a `LogView` counts it, a tail waits
+// for its newline.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -27,15 +33,28 @@
 
 namespace sdc::logging {
 
+/// `line` without one trailing '\r'.
+[[nodiscard]] inline std::string_view strip_cr(std::string_view line) {
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  return line;
+}
+
+/// Appends every '\n'-terminated line of `text` to `lines`, newline and
+/// one trailing '\r' stripped.  Returns the bytes consumed: everything
+/// up to and including the last '\n'.
+std::size_t split_lines(std::string_view text,
+                        std::vector<std::string_view>& lines);
+
+/// `pread` until `size` bytes or end of file (retrying EINTR); returns
+/// the bytes read.
+std::size_t pread_full(int fd, char* out, std::size_t size,
+                       std::uintmax_t offset);
+
 /// One log stream: a shared backing buffer and line views into it.
 /// Copyable; copies share the backing buffer.
 class LogView {
  public:
   LogView() = default;
-
-  /// Maps (or bulk-reads) one log file.  Throws std::runtime_error on
-  /// I/O failure.
-  static LogView from_file(const std::filesystem::path& path);
 
   /// Takes ownership of a buffer of raw log text and splits it.
   static LogView from_buffer(std::string text);
@@ -56,10 +75,11 @@ class LogView {
   [[nodiscard]] std::size_t size_bytes() const noexcept { return bytes_; }
 
  private:
-  void split_buffer(std::string_view text);
+  friend class BundleView;
+  /// Splits `text`, which `owner` keeps alive; the unterminated final
+  /// line (if any) counts.
+  LogView(std::shared_ptr<const void> owner, std::string_view text);
 
-  /// Keeps the backing storage (mmap region, owned string, ...) alive
-  /// for as long as any copy of this view exists.
   std::shared_ptr<const void> owner_;
   std::vector<std::string_view> lines_;
   std::size_t bytes_ = 0;
@@ -71,11 +91,11 @@ class BundleView {
  public:
   BundleView() = default;
 
-  /// Views every regular file in `dir` (non-recursive), one stream per
-  /// file.  Throws std::runtime_error if `dir` is not a directory.  With
-  /// `diagnostics`, an unreadable file is recorded as a kUnreadableFile
-  /// diagnostic and skipped; without it, the first unreadable file throws
-  /// (the historical strict behaviour).
+  /// Reads every regular file in `dir` (non-recursive), one stream per
+  /// file.  Throws std::runtime_error if `dir` is not a directory.  A
+  /// file that cannot be opened fails with "LogView: cannot read <path>":
+  /// with `diagnostics` it is recorded as a kUnreadableFile diagnostic
+  /// and skipped; without it, the first one throws.
   static BundleView read_from_directory(const std::filesystem::path& dir,
                                         std::vector<Diagnostic>* diagnostics =
                                             nullptr);
@@ -83,8 +103,6 @@ class BundleView {
   /// Zero-copy adapter over an in-memory bundle; `bundle` must outlive
   /// the returned view.
   static BundleView from_bundle(const LogBundle& bundle);
-
-  void add_stream(const std::string& name, LogView view);
 
   /// All stream names in lexicographic order.
   [[nodiscard]] std::vector<std::string> stream_names() const;

@@ -28,7 +28,6 @@ constexpr MetricSpec kCatalog[] = {
     kMineStreams,
     kMineDiagnostics,
     kMineScanPrefilterSkipped,
-    kMineScanBackend,
     kIncrementalLines,
     kIncrementalAppsRetired,
     kFollowPolls,

@@ -123,10 +123,6 @@ inline constexpr MetricSpec kMineScanPrefilterSkipped{
     "mine.scan.prefilter_skipped", MetricKind::kCounter, "lines",
     "parsed lines rejected by the shortest-rule length pre-filter before "
     "extraction"};
-inline constexpr MetricSpec kMineScanBackend{
-    "mine.scan.backend.<name>", MetricKind::kCounter, "calls",
-    "mine() calls run under each scan backend (`scalar`, `swar`, `sse2`, "
-    "`avx2`)"};
 
 // --- incremental / follow ----------------------------------------------------
 inline constexpr MetricSpec kIncrementalLines{

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/rng.hpp"
+#include "logging/log_view.hpp"
 #include "logging/timestamp.hpp"
 #include "sdchecker/export.hpp"
 #include "sdchecker/incremental.hpp"
@@ -325,8 +326,9 @@ LogBundle mutate_interleave(const LogBundle& input, Rng& rng) {
 /// Feeds `corpus` into an IncrementalAnalyzer the way a tail would: each
 /// logical stream (rotated segments oldest first) becomes one byte
 /// stream cut at seeded random offsets, mid-line cuts included, and the
-/// streams' pieces interleave at random.  Each piece's complete lines
-/// are one feed; a cut line waits for the rest of its bytes.
+/// streams' pieces interleave at random.  Each piece's complete lines,
+/// cut by the shared `logging::split_lines`, are one feed; a cut line
+/// waits for the rest of its bytes.
 AnalysisResult stream_corpus(const LogBundle& corpus, Rng& rng,
                              const AnalyzeOptions& options) {
   struct Feed {
@@ -366,13 +368,9 @@ AnalysisResult stream_corpus(const LogBundle& corpus, Rng& rng,
                1, static_cast<std::int64_t>(feed.bytes.size() / 4))));
     feed.read = std::min(feed.bytes.size(), feed.read + piece);
     lines.clear();
-    const std::string_view bytes(feed.bytes);
-    for (std::size_t nl = bytes.find('\n', feed.fed);
-         nl != std::string_view::npos && nl < feed.read;
-         nl = bytes.find('\n', feed.fed)) {
-      lines.push_back(bytes.substr(feed.fed, nl - feed.fed));
-      feed.fed = nl + 1;
-    }
+    feed.fed += logging::split_lines(
+        std::string_view(feed.bytes).substr(feed.fed, feed.read - feed.fed),
+        lines);
     if (!lines.empty()) analyzer.feed_all(feed.name, lines);
     if (feed.read == feed.bytes.size()) open.erase(open.begin() + pick);
   }

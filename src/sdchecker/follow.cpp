@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "common/json.hpp"
+#include "logging/log_view.hpp"
 #include "obs/json_parse.hpp"
 #include "obs/metric_catalog.hpp"
 #include "obs/metrics.hpp"
@@ -51,22 +52,6 @@ std::uint64_t inode_key(const struct ::stat& st) {
          static_cast<std::uint64_t>(st.st_ino);
 }
 
-/// `pread` until `size` bytes or end of file; returns the bytes read.
-std::size_t pread_full(int fd, char* out, std::size_t size,
-                       std::uintmax_t offset) {
-  std::size_t got = 0;
-  while (got < size) {
-    const ::ssize_t n = ::pread(fd, out + got, size - got,
-                                static_cast<::off_t>(offset + got));
-    if (n > 0) {
-      got += static_cast<std::size_t>(n);
-    } else if (n == 0 || errno != EINTR) {
-      break;
-    }
-  }
-  return got;
-}
-
 struct ScopedFd {
   int fd;
   ~ScopedFd() { ::close(fd); }
@@ -82,7 +67,7 @@ FollowService::FollowService(std::filesystem::path dir, FollowOptions options)
 
 void FollowService::flush_partial(Tail& tail) {
   if (tail.partial.empty()) return;
-  analyzer_.feed(tail.logical, tail.partial);
+  analyzer_.feed(tail.logical, logging::strip_cr(tail.partial));
   tail.partial.clear();
 }
 
@@ -96,7 +81,8 @@ bool FollowService::drain_tail(int dir_fd, Tail& tail, PollStats& stats) {
       return false;
     }
     // Genuinely unreadable.  One diagnostic per stream, worded exactly
-    // as the batch reader's LogView::from_file failure, never repeated.
+    // as the batch reader's (BundleView::read_from_directory) failure,
+    // never repeated.
     tail.opened = true;
     unreadable_.emplace(
         tail.physical,
@@ -119,7 +105,8 @@ bool FollowService::drain_tail(int dir_fd, Tail& tail, PollStats& stats) {
     // polls never shrinks in our sight; its first bytes give it away.
     // (A rewrite with identical first bytes stays undetectable.)
     char first[kHeadBytes];
-    const std::size_t got = pread_full(fd, first, tail.head.size(), 0);
+    const std::size_t got =
+        logging::pread_full(fd, first, tail.head.size(), 0);
     restart = std::string_view(first, got) != tail.head;
   }
   if (restart) {
@@ -133,8 +120,8 @@ bool FollowService::drain_tail(int dir_fd, Tail& tail, PollStats& stats) {
     const std::size_t old = tail.partial.size();
     tail.partial.resize(old + static_cast<std::size_t>(size - tail.offset));
     const std::size_t got =
-        pread_full(fd, tail.partial.data() + old, tail.partial.size() - old,
-                   tail.offset);
+        logging::pread_full(fd, tail.partial.data() + old,
+                            tail.partial.size() - old, tail.offset);
     tail.partial.resize(old + got);
     if (tail.head.size() < kHeadBytes) {
       tail.head.append(tail.partial, old,
@@ -146,17 +133,10 @@ bool FollowService::drain_tail(int dir_fd, Tail& tail, PollStats& stats) {
     // Feed every complete line as one chunk; the remainder waits for its
     // newline.
     lines_.clear();
-    std::size_t start = 0;
-    while (true) {
-      const std::size_t nl = tail.partial.find('\n', start);
-      if (nl == std::string::npos) break;
-      lines_.push_back(
-          std::string_view(tail.partial).substr(start, nl - start));
-      start = nl + 1;
-    }
+    const std::size_t consumed = logging::split_lines(tail.partial, lines_);
     if (!lines_.empty()) analyzer_.feed_all(tail.logical, lines_);
     stats.lines_fed += lines_.size();
-    tail.partial.erase(0, start);
+    tail.partial.erase(0, consumed);
   }
   if (!tail.is_base) {
     // A rotated segment is frozen; its unterminated final line is a

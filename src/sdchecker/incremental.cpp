@@ -15,17 +15,11 @@ void IncrementalAnalyzer::feed_all(const std::string& stream,
   static obs::Counter& lines_counter =
       obs::catalog_counter(obs::metric::kIncrementalLines);
   lines_counter.add(lines.size());
-  // CRLF parity with the batch path: LogBundle/LogView strip the '\r' of
-  // CRLF-terminated logs at read time; a tail delivers the raw line.
-  stripped_.assign(lines.begin(), lines.end());
-  for (std::string_view& line : stripped_) {
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  }
   StreamState& state = streams_[stream];
   // The analyzer never reads stream names back from its event batches,
   // so they carry no name pool.
   MinedChunk chunk =
-      mine_chunk(0, nullptr, stripped_, state.summary.lines(), options_);
+      mine_chunk(0, nullptr, lines, state.summary.lines(), options_);
   lines_total_ += lines.size();
   lines_unparsed_ += chunk.summary.lines_unparsed();
   const bool was_bound = state.summary.bound_app().has_value();

@@ -39,8 +39,9 @@ class IncrementalAnalyzer {
 
   /// Feeds the next lines of the named stream (file), in file order, as
   /// one chunk.  Batches of different streams may interleave
-  /// arbitrarily.  A trailing '\r' (CRLF-terminated logs) is stripped,
-  /// matching the batch read path.
+  /// arbitrarily.  Lines arrive already split by `logging::split_lines`
+  /// (newline and one trailing '\r' stripped), as the batch read path
+  /// splits them.
   void feed_all(const std::string& stream,
                 std::span<const std::string_view> lines);
   void feed_all(const std::string& stream,
@@ -151,8 +152,6 @@ class IncrementalAnalyzer {
   void apply(const EventBatch& events, std::size_t row);
 
   MinerOptions options_;
-  /// Reused buffer for the CR-stripped lines of one feed.
-  std::vector<std::string_view> stripped_;
   /// Hot per-feed lookup — flat hash table, name-sorted only when a
   /// diagnostics report is cut.
   FlatHashMap<std::string, StreamState, StringHash> streams_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 
-#include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 #include "logging/timestamp.hpp"
 #include "obs/metric_catalog.hpp"
@@ -381,12 +380,6 @@ MinePlan::MinePlan(const logging::BundleView& view,
   impl_->options = options;
   static obs::Gauge& lines_expected =
       obs::catalog_gauge(obs::metric::kMineLinesExpected);
-  // Which scan backend this mine runs with (one count per plan — the
-  // backend cannot change mid-mine).
-  obs::catalog_counter(
-      obs::metric::kMineScanBackend,
-      simd::scan_backend_name(simd::active_scan_backend()))
-      .add(1);
 
   impl_->logicals = group_rotations(view);
   {

@@ -236,8 +236,8 @@ struct MineResult {
 /// (thread-safe across distinct chunks), and `stitch` each stream exactly
 /// once after all of its chunks ran.  `run_chunk` maintains the
 /// `mine.lines` / `mine.scan.prefilter_skipped` instruments; the
-/// constructor stamps `mine.lines_expected` and the scan-backend counter
-/// exactly as one `mine()` call would.
+/// constructor stamps `mine.lines_expected` exactly as one `mine()` call
+/// would.
 class MinePlan {
  public:
   MinePlan(const logging::BundleView& view, const MinerOptions& options);
@@ -273,10 +273,12 @@ class LogMiner {
   explicit LogMiner(MinerOptions options = {}) : options_(options) {}
 
   [[nodiscard]] MineResult mine(const logging::LogBundle& bundle) const;
-  /// Zero-copy path: mines mmap-backed (or adapted) line views directly.
+  /// Zero-copy path: mines directory-read (or adapted) line views
+  /// directly.
   [[nodiscard]] MineResult mine(const logging::BundleView& view) const;
-  /// Mines a directory through the mmap-backed view layer.  Unreadable
-  /// files become kUnreadableFile diagnostics instead of throwing.
+  /// Mines a directory through `BundleView::read_from_directory`.
+  /// Unreadable files become kUnreadableFile diagnostics instead of
+  /// throwing.
   [[nodiscard]] MineResult mine_directory(
       const std::filesystem::path& dir) const;
 

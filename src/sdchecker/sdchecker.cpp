@@ -365,8 +365,11 @@ void finalize_corpus(CorpusRun& run, ThreadPool& pool) {
   // Let go of the lines and the chunk slots before the result is handed
   // on: with many corpora in flight this bounds peak memory to the
   // active set.
-  run.plan.reset();
-  run.owned_view.reset();
+  {
+    const auto span = obs::Tracer::global().span("analyze.teardown");
+    run.plan.reset();
+    run.owned_view.reset();
+  }
   const CorpusDone done = std::move(run.done);
   done(run.first_error(), std::move(result));
 }
@@ -427,10 +430,12 @@ void open_corpus(const std::shared_ptr<CorpusRun>& run, ThreadPool& pool) {
   try {
     const auto span = obs::Tracer::global().span("analyze.open");
     if (run->view == nullptr) {
+      const auto read_span = obs::Tracer::global().span("analyze.read");
       run->owned_view.emplace(logging::BundleView::read_from_directory(
           run->dir, &run->io_diagnostics));
       run->view = &*run->owned_view;
     }
+    const auto plan_span = obs::Tracer::global().span("analyze.plan");
     run->plan.emplace(*run->view, run->options);
   } catch (const std::exception&) {
     run->fail();

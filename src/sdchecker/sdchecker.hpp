@@ -106,7 +106,7 @@ class SdChecker {
   explicit SdChecker(AnalyzeOptions options = {}) : options_(options) {}
 
   [[nodiscard]] AnalysisResult analyze(const logging::LogBundle& bundle) const;
-  /// Zero-copy path over mmap-backed (or adapted) line views.
+  /// Zero-copy path over directory-read (or adapted) line views.
   [[nodiscard]] AnalysisResult analyze(const logging::BundleView& view) const;
   [[nodiscard]] AnalysisResult analyze_directory(
       const std::filesystem::path& dir) const;

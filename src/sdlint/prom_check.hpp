@@ -20,8 +20,8 @@
 //
 // Inputs are injectable so fixtures can seed each violation; the real
 // variant walks `obs::metric_catalog()` with every production suffix
-// vocabulary (diagnostic kinds, scan backends, delay components, HTTP
-// endpoint labels and error classes).
+// vocabulary (diagnostic kinds, delay components, HTTP endpoint labels
+// and error classes).
 #pragma once
 
 #include <span>

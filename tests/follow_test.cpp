@@ -195,6 +195,16 @@ const DamagedStreamCase kDamagedStreamCases[] = {
        return std::vector<std::string>{nm_transition(100, "LOCALIZING"),
                                        "generation two, plain"};
      }},
+    {"CrlfLines",
+     [] {
+       // CRLF-terminated: the tail's splitter strips each '\r' as the
+       // batch read does.
+       std::vector<std::string> lines{nm_transition(100, "LOCALIZING"),
+                                      "\tat a.B.c(B.java:1)",
+                                      nm_transition(200, "RUNNING")};
+       for (std::string& line : lines) line += '\r';
+       return lines;
+     }},
 };
 
 void PrintTo(const DamagedStreamCase& c, std::ostream* os) { *os << c.name; }

@@ -4,8 +4,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "harness/scenario.hpp"
+#include "logging/log_view.hpp"
 #include "logging/timestamp.hpp"
 #include "sdchecker/export.hpp"
 #include "sdchecker/incremental.hpp"
@@ -140,9 +145,9 @@ TEST(Incremental, UnknownAppQueryReturnsEmptyDelays) {
 // --- CRLF streaming/batch parity ---------------------------------------
 //
 // Regression: a live tail delivers the raw bytes of CRLF-terminated
-// logs, while the batch readers strip the '\r' at read time.  feed()
-// must strip it too, or every line's last token grows a carriage return
-// and the two paths diverge.
+// logs.  Split by the shared splitter, as the follow tail splits them,
+// they must analyze exactly as the batch directory read does, or every
+// line's last token grows a carriage return and the two paths diverge.
 TEST(Incremental, CrlfLinesMatchBatchDirectoryRead) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "sdc_incremental_crlf";
@@ -159,11 +164,11 @@ TEST(Incremental, CrlfLinesMatchBatchDirectoryRead) {
   const AnalysisResult batch = SdChecker().analyze_directory(dir);
   IncrementalAnalyzer analyzer;
   for (const auto& name : run.logs.stream_names()) {
-    // Read raw file bytes and split on '\n' only, keeping the '\r' —
-    // exactly what a tail hands the analyzer.
     std::ifstream in(dir / name, std::ios::binary);
-    std::string line;
-    while (std::getline(in, line)) analyzer.feed(name, line);
+    const std::string bytes{std::istreambuf_iterator<char>(in), {}};
+    std::vector<std::string_view> lines;
+    EXPECT_EQ(logging::split_lines(bytes, lines), bytes.size());
+    analyzer.feed_all(name, lines);
   }
   const AnalysisResult streamed = analyzer.snapshot();
   EXPECT_EQ(analysis_json(streamed), analysis_json(batch));

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
@@ -18,6 +19,7 @@
 #include "logging/timestamp.hpp"
 #include "sdchecker/miner.hpp"
 #include "sdchecker/sdchecker.hpp"
+#include "serial_reference.hpp"
 
 namespace sdc::checker {
 namespace {
@@ -197,6 +199,86 @@ TEST(ShardedMiner, AnalysisIdenticalThroughSdChecker) {
   }
 }
 
+/// A collection run's shape: one dominant rm.log carrying most lines —
+/// every application's state machine plus scheduler noise — next to NM
+/// streams and a few executor streams.
+logging::LogBundle rm_heavy_corpus(int apps) {
+  const std::string rm_app =
+      "org.apache.hadoop.yarn.server.resourcemanager.rmapp.RMAppImpl";
+  const std::string rm_container =
+      "org.apache.hadoop.yarn.server.resourcemanager.rmcontainer."
+      "RMContainerImpl";
+  const std::string rm_client =
+      "org.apache.hadoop.yarn.server.resourcemanager.ClientRMService";
+  const std::string nm_container =
+      "org.apache.hadoop.yarn.server.nodemanager.containermanager.container."
+      "ContainerImpl";
+  const std::string backend =
+      "org.apache.spark.executor.CoarseGrainedExecutorBackend";
+  logging::LogBundle bundle;
+  for (int app = 1; app <= apps; ++app) {
+    const std::int64_t t = 400 * app;
+    const std::string seq = std::to_string(10000 + app).substr(1);
+    const std::string app_id = "application_1499100000000_" + seq;
+    bundle.append("rm.log", line(t, rm_app,
+                                 app_id +
+                                     " State change from NEW_SAVING to "
+                                     "SUBMITTED on event = APP_NEW_SAVED"));
+    bundle.append("rm.log", line(t + 40, rm_app,
+                                 app_id +
+                                     " State change from SUBMITTED to "
+                                     "ACCEPTED on event = APP_ACCEPTED"));
+    for (int c = 1; c <= 3; ++c) {
+      const std::string cid =
+          "container_1499100000000_" + seq + "_01_00000" + std::to_string(c);
+      bundle.append("rm.log",
+                    line(t + 100 + c, rm_container,
+                         cid + " Container Transitioned from NEW to ALLOCATED"));
+      bundle.append("rm.log", line(t + 200 + c, rm_container,
+                                   cid +
+                                       " Container Transitioned from "
+                                       "ALLOCATED to ACQUIRED"));
+      const std::string node =
+          "nm-node0" + std::to_string((app + c) % 8 + 1) + ".cluster.log";
+      bundle.append(node, line(t + 150, nm_container,
+                               "Container " + cid +
+                                   " transitioned from NEW to LOCALIZING"));
+      bundle.append(node, line(t + 300, nm_container,
+                               "Container " + cid +
+                                   " transitioned from LOCALIZING to RUNNING"));
+      if (app <= 8 && c > 1) {
+        const std::string exec = "executor-" + cid + ".log";
+        bundle.append(exec, line(t + 350, backend,
+                                 "Connecting to driver for container " + cid));
+        bundle.append(exec, line(t + 900, backend, "Got assigned task 0"));
+      }
+    }
+    // Scheduler noise dominates real RM logs: parseable, not Table I.
+    for (int k = 0; k < 24; ++k) {
+      bundle.append("rm.log",
+                    line(t + 300 + k, rm_client,
+                         "Allocated new applicationId: " + std::to_string(app)));
+    }
+  }
+  return bundle;
+}
+
+TEST(ShardedMiner, LargeRmStreamIdenticalToSerial) {
+  // rm.log (~19k lines) is cut into many chunks; the sharded directory
+  // mine must equal one serial pass over the getline-read corpus.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "sdc_rm_heavy_corpus";
+  std::filesystem::remove_all(dir);
+  rm_heavy_corpus(600).write_to_directory(dir);
+  const MineResult serial =
+      LogMiner(MinerOptions{1, 0}).mine(read_directory_getline(dir));
+  const MineResult sharded =
+      LogMiner(MinerOptions{4, 1024}).mine_directory(dir);
+  expect_same_events(serial, sharded);
+  EXPECT_GT(serial.lines_total, 20000u);
+  std::filesystem::remove_all(dir);
+}
+
 // --- view layer --------------------------------------------------------------
 
 TEST(LogView, FromBufferSplitsLikeGetline) {
@@ -229,8 +311,7 @@ TEST(LogView, FromFileMatchesBundleRead) {
   }
   const logging::BundleView view =
       logging::BundleView::read_from_directory(dir);
-  const logging::LogBundle bundle =
-      logging::LogBundle::read_from_directory(dir);
+  const logging::LogBundle bundle = read_directory_getline(dir);
   EXPECT_EQ(view.stream_count(), 2u);
   ASSERT_TRUE(view.has_stream("a.log"));
   const auto& lines = view.stream("a.log").lines();
@@ -256,11 +337,37 @@ TEST(BundleView, FromBundleIsZeroCopy) {
 }
 
 TEST(BundleView, MmapDirectoryMinesIdenticallyToBundle) {
+  // The directory read path against the getline oracle.
   const auto dir = corpus_dir();
   const MineResult via_bundle =
-      LogMiner(MinerOptions{1}).mine(logging::LogBundle::read_from_directory(dir));
+      LogMiner(MinerOptions{1}).mine(read_directory_getline(dir));
   const MineResult via_view = LogMiner(MinerOptions{1}).mine_directory(dir);
   expect_same_events(via_bundle, via_view);
+}
+
+TEST(BundleView, TruncateAfterReadMinesUnchanged) {
+  // A copytruncate rotation empties a live log while `analyze` holds its
+  // view of the corpus.  The view owns its bytes, so mining it afterwards
+  // sees the lines as read.  Run in a child so a fault (a mapping of the
+  // file losing its pages) fails this test instead of the binary.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "sdc_truncate_after_read";
+  std::filesystem::remove_all(dir);
+  std::filesystem::copy(corpus_dir(), dir);
+  const MineResult before = LogMiner(MinerOptions{1}).mine_directory(dir);
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const logging::BundleView view =
+            logging::BundleView::read_from_directory(dir);
+        for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+          std::filesystem::resize_file(entry.path(), 0);
+        }
+        expect_same_events(before, LogMiner(MinerOptions{1}).mine(view));
+        std::exit(::testing::Test::HasFailure() ? 1 : 0);
+      },
+      ::testing::ExitedWithCode(0), "");
+  std::filesystem::remove_all(dir);
 }
 
 // --- parallel_for_chunked ----------------------------------------------------

@@ -10,6 +10,7 @@
 #include "sdchecker/extractor.hpp"
 #include "sdchecker/parsed_line.hpp"
 #include "sdchecker/sdchecker.hpp"
+#include "serial_reference.hpp"
 
 namespace sdc::checker {
 namespace {
@@ -132,8 +133,8 @@ TEST(RealWorld, CrlfCorpusParsesCleanly) {
            "assigned task 0\r\n";
   }
 
-  // getline-based bundle read strips the '\r'.
-  const logging::LogBundle bundle = logging::LogBundle::read_from_directory(dir);
+  // The getline oracle strips the '\r'.
+  const logging::LogBundle bundle = read_directory_getline(dir);
   for (const std::string& line : bundle.lines("rm.log")) {
     EXPECT_TRUE(line.empty() || line.back() != '\r');
   }
@@ -141,7 +142,7 @@ TEST(RealWorld, CrlfCorpusParsesCleanly) {
   EXPECT_EQ(via_bundle.lines_total, 4u);
   EXPECT_EQ(via_bundle.lines_unparsed, 0u);
 
-  // The mmap-backed view path strips it too and mines identically.
+  // The directory read path strips it too and mines identically.
   const AnalysisResult via_view = SdChecker().analyze_directory(dir);
   EXPECT_EQ(via_view.lines_unparsed, 0u);
   EXPECT_EQ(via_view.events_total, via_bundle.events_total);

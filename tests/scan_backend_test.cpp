@@ -1,11 +1,12 @@
-// Scan-backend equivalence: every SWAR/SIMD byte-scanning backend must
-// be bit-for-bit interchangeable with the scalar reference loop — on raw
-// buffers and through the whole mining pipeline.  The pipeline half is a
-// fuzz-style sweep: the corpus mutator's damage classes (truncation,
-// rotation, garbage bytes, clock skew, interleaving, ...) are pushed
-// through `mine_directory` (the mmap/split_buffer read path) under every
-// available backend, and the mined events *and* diagnostics must be
-// identical to the scalar run.  Runs under ASan/UBSan and TSan in CI.
+// Scanner equivalence: the compiled byte scanner (SSE2 on x86-64,
+// scalar elsewhere) must be bit-for-bit interchangeable with the scalar
+// reference loop — on raw buffers and through the whole mining
+// pipeline.  The pipeline half is a fuzz-style sweep: the corpus
+// mutator's damage classes (truncation, rotation, garbage bytes, clock
+// skew, interleaving, ...) are pushed through `mine_directory` (the
+// directory read and `split_lines`) and must mine to the same events
+// *and* diagnostics as the same files read by the getline oracle.  Runs
+// under ASan/UBSan and TSan in CI.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -18,22 +19,10 @@
 #include "logging/log_bundle.hpp"
 #include "sdchecker/corpus_mutator.hpp"
 #include "sdchecker/miner.hpp"
+#include "serial_reference.hpp"
 
 namespace sdc::checker {
 namespace {
-
-using simd::ScanBackend;
-
-/// Restores the active backend on scope exit so one test cannot leak its
-/// override into the rest of the binary.
-class BackendGuard {
- public:
-  BackendGuard() : saved_(simd::active_scan_backend()) {}
-  ~BackendGuard() { simd::set_scan_backend(saved_); }
-
- private:
-  ScanBackend saved_;
-};
 
 std::filesystem::path corpus_dir() {
   for (std::filesystem::path dir = std::filesystem::current_path();
@@ -46,38 +35,15 @@ std::filesystem::path corpus_dir() {
 
 const logging::LogBundle& golden() {
   static const logging::LogBundle bundle =
-      logging::LogBundle::read_from_directory(corpus_dir());
+      read_directory_getline(corpus_dir());
   return bundle;
 }
 
 // --- primitive equivalence ---------------------------------------------------
 
-TEST(ScanBackend, RegistryNamesRoundTrip) {
-  for (const ScanBackend backend : simd::available_scan_backends()) {
-    const auto name = simd::scan_backend_name(backend);
-    EXPECT_NE(name, "?");
-    ScanBackend parsed = ScanBackend::kScalar;
-    ASSERT_TRUE(simd::scan_backend_from_name(name, parsed)) << name;
-    EXPECT_EQ(parsed, backend);
-  }
-  ScanBackend unused = ScanBackend::kScalar;
-  EXPECT_FALSE(simd::scan_backend_from_name("mmx", unused));
-}
-
-TEST(ScanBackend, ScalarIsAlwaysAvailableAndBestIsActive) {
-  const auto backends = simd::available_scan_backends();
-  ASSERT_FALSE(backends.empty());
-  EXPECT_EQ(backends.front(), ScanBackend::kScalar);
-  BackendGuard guard;
-  for (const ScanBackend backend : backends) {
-    EXPECT_TRUE(simd::set_scan_backend(backend));
-    EXPECT_EQ(simd::active_scan_backend(), backend);
-  }
-}
-
-TEST(ScanBackend, FindAndCountMatchScalarOnCraftedBuffers) {
-  // Sizes straddle every block width (8/16/32) and the match lands at
-  // the head, inside a block, on a block seam, in the tail, or nowhere.
+TEST(Scanner, FindAndCountMatchScalarOnCraftedBuffers) {
+  // Sizes straddle the 16-byte block and the match lands at the head,
+  // inside a block, on a block seam, in the tail, or nowhere.
   std::vector<std::string> buffers;
   for (const std::size_t size : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 31u,
                                  32u, 33u, 63u, 64u, 65u, 200u}) {
@@ -98,18 +64,13 @@ TEST(ScanBackend, FindAndCountMatchScalarOnCraftedBuffers) {
 
   for (const std::string& buffer : buffers) {
     for (const char needle : {'\n', ':', '\0', 'a'}) {
-      const std::size_t want_count =
-          simd::count_byte(buffer, needle, ScanBackend::kScalar);
-      for (const ScanBackend backend : simd::available_scan_backends()) {
-        EXPECT_EQ(simd::count_byte(buffer, needle, backend), want_count)
-            << simd::scan_backend_name(backend) << " size " << buffer.size();
-        for (std::size_t from = 0; from <= buffer.size() + 1; ++from) {
-          EXPECT_EQ(simd::find_byte(buffer, needle, from, backend),
-                    simd::find_byte(buffer, needle, from,
-                                    ScanBackend::kScalar))
-              << simd::scan_backend_name(backend) << " size "
-              << buffer.size() << " from " << from;
-        }
+      EXPECT_EQ(simd::count_byte(buffer, needle),
+                simd::count_byte_scalar(buffer, needle))
+          << "size " << buffer.size();
+      for (std::size_t from = 0; from <= buffer.size() + 1; ++from) {
+        EXPECT_EQ(simd::find_byte(buffer, needle, from),
+                  simd::find_byte_scalar(buffer, needle, from))
+            << "size " << buffer.size() << " from " << from;
       }
     }
   }
@@ -156,50 +117,39 @@ MinedSnapshot snapshot(const MineResult& result) {
   return out;
 }
 
-TEST(ScanBackend, EveryDamageClassMinesIdenticallyUnderEveryBackend) {
-  BackendGuard guard;
+TEST(Scanner, EveryDamageClassMinesIdenticallyToGetlineRead) {
   const LogMiner miner{{.threads = 1}};
   const auto dir =
       std::filesystem::temp_directory_path() / "sdc_scan_backend_fuzz";
   for (const std::uint64_t seed : {42ull, 20170703ull}) {
     for (const MutationClass cls : all_mutation_classes()) {
       const logging::LogBundle mutated = apply_mutation(golden(), cls, seed);
-      // Through the directory so every backend exercises the real
-      // split_buffer scan over mmap'd bytes (including NUL-bearing
-      // garbage lines that round-trip through write_to_directory).
+      // Through the directory so the compiled scanner splits the real
+      // bytes (including NUL-bearing garbage lines that round-trip
+      // through write_to_directory).
       std::filesystem::remove_all(dir);
       mutated.write_to_directory(dir);
 
-      ASSERT_TRUE(simd::set_scan_backend(ScanBackend::kScalar));
-      const MinedSnapshot reference = snapshot(miner.mine_directory(dir));
+      const MinedSnapshot reference =
+          snapshot(miner.mine(read_directory_getline(dir)));
       EXPECT_GT(reference.lines_total, 0u) << mutation_class_name(cls);
-
-      for (const ScanBackend backend : simd::available_scan_backends()) {
-        ASSERT_TRUE(simd::set_scan_backend(backend));
-        const MinedSnapshot got = snapshot(miner.mine_directory(dir));
-        EXPECT_EQ(got, reference)
-            << mutation_class_name(cls) << " seed " << seed << " under "
-            << simd::scan_backend_name(backend);
-      }
+      EXPECT_EQ(snapshot(miner.mine_directory(dir)), reference)
+          << mutation_class_name(cls) << " seed " << seed;
     }
   }
   std::filesystem::remove_all(dir);
 }
 
-TEST(ScanBackend, InMemoryAndDirectoryAgreeOnIdentity) {
-  BackendGuard guard;
+TEST(Scanner, InMemoryAndDirectoryAgreeOnIdentity) {
   const LogMiner miner{{.threads = 1}};
   const auto dir =
       std::filesystem::temp_directory_path() / "sdc_scan_backend_identity";
   std::filesystem::remove_all(dir);
   golden().write_to_directory(dir);
-  for (const ScanBackend backend : simd::available_scan_backends()) {
-    ASSERT_TRUE(simd::set_scan_backend(backend));
-    const MinedSnapshot in_memory = snapshot(miner.mine(golden()));
-    const MinedSnapshot on_disk = snapshot(miner.mine_directory(dir));
-    EXPECT_EQ(in_memory, on_disk) << simd::scan_backend_name(backend);
-    EXPECT_GT(in_memory.events.size(), 0u);
-  }
+  const MinedSnapshot in_memory = snapshot(miner.mine(golden()));
+  const MinedSnapshot on_disk = snapshot(miner.mine_directory(dir));
+  EXPECT_EQ(in_memory, on_disk);
+  EXPECT_GT(in_memory.events.size(), 0u);
   std::filesystem::remove_all(dir);
 }
 
